@@ -3,16 +3,17 @@
 Two regimes, matching the two existence results:
 
 * convex mode (Q2 <= 0, Q2 - Q1 square-integrable): minimize the smooth
-  convex functional J by damped Newton with Armijo line search; the gradient
-  of J is exactly the PDE residual, so the convergence certificate is a
-  recomputed residual norm, not a solver internal.
+  convex functional J; the gradient of J is exactly the PDE residual, so
+  the convergence certificate is a recomputed residual norm, not a solver
+  internal.
 * log-constrained mode (Q1, Q2 square-integrable): minimize
   J_Q(u) = <P_k u, u> + 2 int Q1 u - log int Q2 (e^{2u} - 1) over the open
   set where the log argument is positive; the reported solution is the
   minimizer shifted by -(1/2) log of that argument.
 
-Minimization runs over radial grid functions vanishing at R_max (a
-conforming radial subspace); the solver is deterministic.
+Both regimes run one damped Newton driver with Armijo backtracking on the
+sparse Hessian.  Minimization runs over radial grid functions vanishing at
+R_max (a conforming radial subspace); the solver is deterministic.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solveh_banded
+from scipy.sparse.linalg import splu
 
 from .ball import DimensionParams, RadialFunction, RadialGrid, volume_weight
 from .errors import (
@@ -288,15 +290,6 @@ def hessian_action_J(
     return disc.apply_pk(wv) - 2.0 * disc.Q2 * e2u * wv
 
 
-def _sym_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Symmetrically scaled dense solve (keeps axis-row scaling harmless)."""
-    d = np.sqrt(np.abs(np.diag(H)))
-    d[d == 0] = 1.0
-    Hs = H / d[:, None] / d[None, :]
-    ys = np.linalg.solve(Hs, rhs / d)
-    return ys / d
-
-
 def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray:
     """Oracle path: solve (omega M P_k) u = rhs via a banded Cholesky solve."""
     H = disc.H0.toarray()
@@ -311,102 +304,121 @@ def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray
     return solveh_banded(ab, rhs_dv)
 
 
-def solve_convex(
-    problem: PDEProblem, tol: float = 1e-10, max_iter: int = 60
-) -> SolveResult:
-    """Damped Newton minimization of J with an Armijo line search.
+def _sparse_solve(A: sp.spmatrix, b: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Solve (A + w w^T) x = b by one sparse LU of the symmetrically scaled
+    A (the scaling keeps the axis rows harmless) and Sherman-Morrison for
+    the rank-one term."""
+    d = np.sqrt(np.abs(A.diagonal()))
+    d[d == 0] = 1.0
+    scale = sp.diags(1.0 / d)
+    lu = splu((scale @ A @ scale).tocsc())
+    if w is None:
+        return lu.solve(b / d) / d
+    x, z = lu.solve(np.stack([b / d, w / d], axis=1)).T / d
+    return x - z * (w @ x) / (1.0 + w @ z)
 
-    Falls back to a preconditioned gradient step when the Newton direction
-    fails to descend.  Convergence is certified by the dv_g-norm of the
-    equation residual recomputed through raw factor applications.
+
+def _damped_newton(
+    disc: _Discretization,
+    u: np.ndarray,
+    objective: Callable[[np.ndarray], float],
+    linearize: Callable[[np.ndarray], tuple],
+    tol: float,
+    max_iter: int,
+    convex: bool,
+) -> SolveResult:
+    """Damped Newton minimization with Armijo backtracking for both regimes.
+
+    ``objective(u)`` is inf where u is infeasible or overflows, so the line
+    search halves such trial steps away.  ``linearize(u)`` returns the
+    certificate residual (its dv_g-norm is compared with ``tol``), the
+    gradient, and the Hessian as a sparse matrix plus an optional rank-one
+    vector w (Hessian = A + w w^T).  A Levenberg shift lam diag(mass_dv) is
+    raised until the Newton step descends.  Five iterations without a 10 %
+    drop in the certificate end the solve as a stall at the numerical floor.
     """
-    if problem.mode != CONVEX:
-        raise DomainError("solve_convex requires a convex-mode problem")
-    disc = _Discretization(problem)
-    u = np.zeros(disc.n)
-    history = []
-    J_u = _J_value(u, disc)
-    history.append(J_u)
-    converged = False
-    message = ""
-    it = 0
-    best_res = math.inf
-    stalled = 0
-    for it in range(1, max_iter + 1):
-        e2u = _exp2u(u, False)
-        if e2u is None:
-            message = "iterate overflowed"
+    J_u = objective(u)
+    history = [J_u]
+    best, stalled, message = math.inf, 0, ""
+    for it in range(1, max_iter + 2):
+        res, grad, A, w = linearize(u)
+        res_norm = disc.dv_norm(res)
+        if res_norm <= tol:
+            message = "converged"
             break
-        g = disc.apply_pk(u) - (disc.Q2 - disc.Q1) - disc.Q2 * (e2u - 1.0)
-        res = disc.dv_norm(g)
-        if res <= tol:
-            converged = True
+        if it > max_iter:  # this last pass only certifies the final iterate
+            message = "max_iter reached"
             break
-        if res >= 0.9 * best_res:
+        if res_norm >= 0.9 * best:
             stalled += 1
             if stalled >= 5:
-                message = f"stalled at residual {res:.3e} (numerical floor)"
+                message = f"stalled at residual {res_norm:.3e} (numerical floor)"
                 break
         else:
             stalled = 0
-        best_res = min(best_res, res)
-        H = disc.H0.toarray() + np.diag(disc.mass_dv * (-2.0 * disc.Q2) * e2u)
-        curv_floor = -1e-10 * max(1.0, float(np.max(np.abs(np.diag(H)))))
-        rhs = -disc.mass_dv * g
-        try:
-            step = _sym_solve(H, rhs)
-        except np.linalg.LinAlgError:
-            step = rhs / np.diag(H)
-        if float(step @ (-rhs)) > 0:
-            # direction is not a descent direction for a convex problem:
-            # signals a discretization defect unless roundoff-small
-            if float(step @ (-rhs)) > -curv_floor:
+        best = min(best, res_norm)
+        diag_max = float(np.max(np.abs(A.diagonal())))
+        lam = 0.0
+        for _ in range(12):
+            step = _sparse_solve(A + lam * sp.diags(disc.mass_dv), -grad, w)
+            slope = float(step @ grad)
+            if slope < 0:
+                break
+            if convex and lam == 0.0 and slope > 1e-10 * max(1.0, diag_max):
+                # the convex Hessian is positive semidefinite: an ascent
+                # direction beyond roundoff is a discretization defect
                 raise DiscretizationError(
                     "negative curvature detected in the convex regime"
                 )
+            lam = max(10.0 * lam, 1e-6 * diag_max)
+        else:
+            message = "could not build a descent direction"
+            break
         t = 1.0
-        accepted = False
-        slope = float(np.dot(disc.mass_dv * g, step))
-        for _ in range(40):
+        for _ in range(50):
             trial = u + t * step
-            J_trial = _J_value(trial, disc)
-            if np.isfinite(J_trial) and J_trial <= J_u + 1e-4 * t * slope:
-                accepted = True
+            J_trial = objective(trial)
+            # near the minimizer the decrease (~ residual^2) falls below the
+            # roundoff of J; without the allowance the search would stall
+            # above the certificate's floor
+            if J_trial <= J_u + 1e-4 * t * slope + 1e-14 * max(1.0, abs(J_u)):
                 break
             t *= 0.5
-        if not accepted:
-            # preconditioned gradient fallback
-            precond = disc.H0.toarray() + 1e-6 * np.diag(disc.mass_dv)
-            step = _sym_solve(precond, rhs)
-            t = 1.0
-            for _ in range(40):
-                trial = u + t * step
-                J_trial = _J_value(trial, disc)
-                if np.isfinite(J_trial) and J_trial < J_u:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                message = "line search failed"
-                break
-        u = u + t * step
-        J_u = _J_value(u, disc)
+        else:
+            message = "line search failed"
+            break
+        u, J_u = trial, J_trial
         history.append(J_u)
-    e2u = _exp2u(u, False)
-    residual = (
-        disc.apply_pk(u) + disc.Q1 - disc.Q2 * e2u if e2u is not None else np.full_like(u, np.nan)
-    )
-    res_norm = disc.dv_norm(residual) if e2u is not None else math.inf
-    if not converged and res_norm <= tol:
-        converged = True
     return SolveResult(
         u=disc.embed(u),
         objective=J_u,
         residual_norm=res_norm,
-        iterations=it,
-        converged=converged,
+        iterations=min(it, max_iter),
+        converged=message == "converged",
         objective_history=tuple(history),
-        message=message or ("converged" if converged else "max_iter reached"),
+        message=message,
+    )
+
+
+def solve_convex(
+    problem: PDEProblem, tol: float = 1e-10, max_iter: int = 60
+) -> SolveResult:
+    """Minimize J by damped Newton; the gradient of J is exactly the PDE
+    residual, recomputed through raw factor applications as the
+    convergence certificate."""
+    if problem.mode != CONVEX:
+        raise DomainError("solve_convex requires a convex-mode problem")
+    disc = _Discretization(problem)
+
+    def linearize(u):
+        e2u = _exp2u(u, True)
+        res = disc.apply_pk(u) + disc.Q1 - disc.Q2 * e2u
+        hess = disc.H0 + sp.diags(-2.0 * disc.mass_dv * disc.Q2 * e2u)
+        return res, disc.mass_dv * res, hess, None
+
+    return _damped_newton(
+        disc, np.zeros(disc.n), lambda u: _J_value(u, disc), linearize,
+        tol, max_iter, convex=True,
     )
 
 
@@ -426,7 +438,7 @@ def functional_JQ(u, problem: PDEProblem, disc: _Discretization | None = None) -
     disc = disc or _Discretization(problem)
     uv = u.values[disc.keep] if isinstance(u, RadialFunction) else np.asarray(u)
     G = log_argument(uv, disc)
-    if not G > 0:
+    if not 0.0 < G < math.inf:  # infeasible, or e^{2u} overflows
         return math.inf
     return float(uv @ (disc.H0 @ uv)) + 2.0 * disc.dv_dot(disc.Q1, uv) - math.log(G)
 
@@ -446,92 +458,33 @@ def _feasible_start(disc: _Discretization) -> np.ndarray:
 def solve_log_constrained(
     problem: PDEProblem, tol: float = 1e-9, max_iter: int = 120
 ) -> SolveResult:
-    """Minimize J_Q inside the open set {log argument > 0}.
+    """Minimize J_Q inside the open set {log argument > 0} by damped Newton.
 
-    Newton steps with a Levenberg-style positive-definiteness fix; steps
-    leaving the feasible set are rejected and halved.  The reported result
-    carries the additive shift -(1/2) log G(u0); the residual certificate is
-    evaluated for the shifted function, whose exponential term carries the
-    factor 1/G(u0).
+    The reported result carries the additive shift -(1/2) log G(u0); the
+    residual certificate is evaluated for the shifted function, whose
+    exponential term carries the factor 1/G(u0).
     """
     if problem.mode != LOG_CONSTRAINED:
         raise DomainError("solve_log_constrained requires log-constrained mode")
     disc = _Discretization(problem)
-    u = _feasible_start(disc)
-    J_u = functional_JQ(u, problem, disc)
-    history = [J_u]
-    converged = False
-    message = ""
-    it = 0
-    for it in range(1, max_iter + 1):
+
+    def linearize(u):
         e2u = _exp2u(u, True)
         G = disc.dv_dot(disc.Q2, e2u - 1.0)
         q2e = disc.mass_dv * disc.Q2 * e2u
-        # gradient of J_Q as a plain vector (not dv_g-represented)
-        grad = 2.0 * (disc.H0 @ u) + 2.0 * disc.mass_dv * disc.Q1 - 2.0 * q2e / G
         # stationarity of J_Q == shifted-equation residual; certify via that
-        shifted_res = disc.apply_pk(u) + disc.Q1 - disc.Q2 * e2u / G
-        res = disc.dv_norm(shifted_res)
-        if res <= tol:
-            converged = True
-            break
-        H = (
-            2.0 * disc.H0.toarray()
-            + np.diag(-4.0 * q2e / G)
-            + 4.0 * np.outer(q2e, q2e) / G**2
-        )
-        lam = 0.0
-        step = None
-        for _ in range(12):
-            try:
-                Hmod = H + lam * np.diag(disc.mass_dv)
-                cand = _sym_solve(Hmod, -grad)
-                if float(cand @ grad) < 0:
-                    step = cand
-                    break
-            except np.linalg.LinAlgError:
-                pass
-            lam = max(10.0 * lam, 1e-6 * float(np.max(np.abs(np.diag(H)))))
-        if step is None:
-            message = "could not build a descent direction"
-            break
-        t = 1.0
-        accepted = False
-        slope = float(step @ grad)
-        for _ in range(50):
-            trial = u + t * step
-            if log_argument(trial, disc) > 0:
-                J_trial = functional_JQ(trial, problem, disc)
-                if J_trial <= J_u + 1e-4 * t * slope:
-                    accepted = True
-                    break
-            t *= 0.5  # reject steps that leave the feasible set
-        if not accepted:
-            message = "line search failed"
-            break
-        u = u + t * step
-        J_u = functional_JQ(u, problem, disc)
-        history.append(J_u)
-    e2u = _exp2u(u, False)
-    if e2u is not None:
-        G = disc.dv_dot(disc.Q2, e2u - 1.0)
-        shift = -0.5 * math.log(G) if G > 0 else math.nan
-        shifted_res = disc.apply_pk(u) + disc.Q1 - disc.Q2 * e2u / G
-        res_norm = disc.dv_norm(shifted_res)
-    else:
-        shift, res_norm = math.nan, math.inf
-    if not converged and res_norm <= tol:
-        converged = True
-    return SolveResult(
-        u=disc.embed(u),
-        objective=J_u,
-        residual_norm=res_norm,
-        iterations=it,
-        converged=converged,
-        additive_constant=shift,
-        objective_history=tuple(history),
-        message=message or ("converged" if converged else "max_iter reached"),
+        res = disc.apply_pk(u) + disc.Q1 - disc.Q2 * e2u / G
+        grad = 2.0 * (disc.H0 @ u) + 2.0 * disc.mass_dv * disc.Q1 - 2.0 * q2e / G
+        hess = 2.0 * disc.H0 + sp.diags(-4.0 * q2e / G)
+        return res, grad, hess, 2.0 * q2e / G
+
+    result = _damped_newton(
+        disc, _feasible_start(disc), lambda u: functional_JQ(u, problem, disc), linearize,
+        tol, max_iter, convex=False,
     )
+    u = result.u.values[disc.keep]
+    result.additive_constant = -0.5 * math.log(log_argument(u, disc))
+    return result
 
 
 def ray_coercivity_table(

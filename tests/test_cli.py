@@ -15,6 +15,9 @@ from hyperadams.config import (
 from hyperadams.errors import ConfigError
 from hyperadams.reporting import ExperimentReport, csv_body, format_cell
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED_CONFIGS = sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg"))
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -241,3 +244,31 @@ class TestCLI:
             "tol = 1e-15\nmax_iter = 3\n",
         )
         assert main(["run", cfg, "--out", str(tmp_path)]) == 4
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_run_exits_zero(self, name, tmp_path):
+        cfg = os.path.join(CONFIG_DIR, name)
+        assert main(["run", cfg, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "solve_pde_linear_k1.cfg",
+            "solve_pde_log_k1.cfg",
+            pytest.param(
+                "solve_pde_convex_k2.cfg",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="k=2 certification is roundoff-bound (ROADMAP "
+                    "direction B): level residuals 1.1e-10, 8.4e-10 and "
+                    "2.6e-7 at 12, 24 and 48 elements against tol 1e-8; the "
+                    "48-element solve stalls at its floor, exit 3",
+                ),
+            ),
+        ],
+    )
+    def test_converge_solve_pde_exits_zero(self, name, tmp_path):
+        cfg = os.path.join(CONFIG_DIR, name)
+        assert main(["converge", cfg, "--out", str(tmp_path)]) == 0

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
-from hyperadams.errors import DomainError, FeasibilityError, OverflowNodeError
+from hyperadams.errors import (
+    DiscretizationError,
+    DomainError,
+    FeasibilityError,
+    OverflowNodeError,
+)
 from hyperadams.pde import (
     CONVEX,
     LOG_CONSTRAINED,
@@ -222,6 +227,22 @@ class TestSolveConvex:
         with pytest.raises(DomainError):
             solve_convex(prob)
 
+    def test_negative_curvature_raises(self, pde_grid, monkeypatch):
+        # an energy matrix of the wrong sign makes the Newton direction
+        # ascend, which the convex regime reports as a discretization defect
+        init = _Discretization.__init__
+
+        def flipped(self, problem):
+            init(self, problem)
+            self.H0 = -self.H0
+
+        monkeypatch.setattr(_Discretization, "__init__", flipped)
+        prob = make_problem(
+            pde_grid, 1, lambda r: np.exp(-(r**2)), lambda r: -np.exp(-(r**2))
+        )
+        with pytest.raises(DiscretizationError, match="negative curvature"):
+            solve_convex(prob)
+
 
 class TestSolveLogConstrained:
     def test_feasible_start_exists(self, pde_grid):
@@ -273,6 +294,22 @@ class TestSolveLogConstrained:
         # product matrix
         res_norm = independent_residual(res, prob, shift=res.additive_constant)
         assert res_norm <= 1e-7
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stall_below_roundoff_floor(self, k, pde_grid):
+        # tol lies below the certificate's roundoff floor: the solve must
+        # stop as a stall, not spend every iteration
+        prob = make_problem(
+            pde_grid,
+            k,
+            lambda r: 0.3 * np.exp(-(r**2)),
+            lambda r: np.exp(-((r / 1.2) ** 2)),
+            mode=LOG_CONSTRAINED,
+        )
+        res = solve_log_constrained(prob, tol=1e-14, max_iter=120)
+        assert not res.converged
+        assert res.message.startswith("stalled at residual")
+        assert res.iterations < 120
 
     def test_constant_annihilation(self, pde_grid, dims1):
         op = gjms_assemble(dims1, pde_grid)
