@@ -103,7 +103,9 @@ class RadialGrid:
 
     Nodes include the axis point (node 0 at radius 0); quadrature weights
     ``quad_weights`` integrate plain ``dr`` (or ``ds``) and are positive.
-    Instances are immutable; all arrays are read-only.
+    Instances are immutable and all arrays are read-only, except
+    ``operator_cache``: the Laplacian (K, M) pairs assembled on this grid,
+    keyed by (metric, N) and filled by ``hyperadams.operators``.
     """
 
     def __init__(self, mesh: Mesh1D, coordinate: str = GEODESIC):
@@ -112,6 +114,7 @@ class RadialGrid:
         self.mesh = mesh
         self.coordinate = coordinate
         self.R_max = float(mesh.edges[-1])
+        self.operator_cache: dict = {}
         if coordinate == GEODESIC:
             self._r = mesh.nodes
             s, oms = geodesic_to_euclidean(mesh.nodes, complement=True)

@@ -85,8 +85,18 @@ def main(argv=None) -> int:
     if cfg.experiment == "solve-pde" and not report.diagnostics.get("converged", True):
         print("solver did not converge", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    if args.command == "converge" and not report.diagnostics.get("passed", True):
-        print("convergence study below documented order", file=sys.stderr)
+    diag = report.diagnostics
+    if args.command == "converge" and not diag.get("passed", True):
+        if "tol_saturated" in diag:
+            failed = "a refinement level's residual is above tol"
+        elif "sign_stable" in diag:
+            failed = "inequality margin signs change across refinement levels"
+        else:
+            failed = (
+                f"observed order {diag['observed_min_order']:.2f} is more than 0.5 "
+                f"below the documented order {diag['scheme_order']}"
+            )
+        print(f"convergence study failed: {failed}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

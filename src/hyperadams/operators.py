@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,18 +40,14 @@ def _values(u) -> np.ndarray:
 
 def _laplacian_parts(dims: DimensionParams, grid: RadialGrid, metric: str):
     """Cached (K, M) for the weighted radial Laplacian of the given metric."""
-    cache = getattr(grid, "_op_cache", None)
-    if cache is None:
-        cache = {}
-        grid._op_cache = cache
     key = (metric, dims.N)
-    if key not in cache:
+    if key not in grid.operator_cache:
         c_stiff, c_mass, axis_fn = grid.laplacian_coefficients(metric, dims)
         K = grid.mesh.stiffness(c_stiff)
         M = grid.mesh.lumped_mass(c_mass, axis_fn=axis_fn)
         M.flags.writeable = False
-        cache[key] = (K, M)
-    return cache[key]
+        grid.operator_cache[key] = (K, M)
+    return grid.operator_cache[key]
 
 
 @dataclass
@@ -69,30 +66,30 @@ class DiscreteOperator:
     def __call__(self, u) -> np.ndarray:
         return self.apply(u)
 
-    @property
-    def bandwidth(self) -> int:
-        coo = self.matrix.tocoo()
-        if coo.nnz == 0:
-            return 0
-        return int(np.max(np.abs(coo.row - coo.col)))
-
 
 @dataclass
-class GJMSOperator(DiscreteOperator):
-    """Critical GJMS product P_k with access to its second-order factors."""
+class GJMSOperator:
+    """Critical GJMS product P_k = (A + sigma_k) ... (A + sigma_1), A = M^{-1} K,
+    kept as its second-order factors B_j = K + sigma_j M.
 
-    shifts: tuple = ()
-    stiffness: sp.csr_matrix = None
-    dims: DimensionParams = None
+    Every use of P_k goes through this object: pointwise applications, the
+    quadratic form, and the energy matrix omega M P_k that the PDE solver
+    factorizes.
+    """
+
+    stiffness: sp.csr_matrix
+    mass: np.ndarray = field(repr=False)
+    shifts: tuple
+    dims: DimensionParams
 
     def factor_matrix(self, j: int) -> sp.csr_matrix:
         """B_j = K + sigma_j M, the M-weighted j-th factor (symmetric)."""
         return (self.stiffness + self.shifts[j] * sp.diags(self.mass)).tocsr()
 
-    def apply_factors(self, u, js) -> np.ndarray:
-        """Apply (A + sigma_j) for j in js pointwise, A = M^{-1} K."""
+    def apply(self, u, js=None) -> np.ndarray:
+        """Apply (A + sigma_j) for j in js (default: all, i.e. P_k u) pointwise."""
         z = _values(u).copy()
-        for j in js:
+        for j in range(len(self.shifts)) if js is None else js:
             z = (self.stiffness @ z) / self.mass + self.shifts[j] * z
         return z
 
@@ -103,10 +100,35 @@ class GJMSOperator(DiscreteOperator):
         k = len(self.shifts)
         a = (k - 1) // 2
         b = k - 1 - a
-        y = self.apply_factors(uv, range(a))
-        z = self.apply_factors(wv, range(a + 1, a + 1 + b))
+        y = self.apply(uv, range(a))
+        z = self.apply(wv, range(a + 1, a + 1 + b))
         Bmid = self.factor_matrix(a)
         return self.dims.omega_Nm1 * float(y @ (Bmid @ z))
+
+    @cached_property
+    def energy_matrix(self) -> sp.csr_matrix:
+        """omega B_1 M^{-1} B_2 ... M^{-1} B_k = omega M P_k, symmetric
+        positive semidefinite (definite under a Dirichlet restriction)."""
+        Minv = sp.diags(1.0 / self.mass)
+        weighted = self.factor_matrix(0)
+        for j in range(1, len(self.shifts)):
+            weighted = (weighted @ Minv @ self.factor_matrix(j)).tocsr()
+        return (self.dims.omega_Nm1 * weighted).tocsr()
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """Pointwise P_k as one sparse matrix, (omega M)^{-1} energy_matrix."""
+        inv_mass_dv = sp.diags(1.0 / (self.dims.omega_Nm1 * self.mass))
+        return (inv_mass_dv @ self.energy_matrix).tocsr()
+
+    @property
+    def bandwidth(self) -> int:
+        coo = self.energy_matrix.tocoo()
+        return int(np.max(np.abs(coo.row - coo.col)))
+
+    def restrict(self, n: int) -> "GJMSOperator":
+        """The same operator on the first n nodes (Dirichlet at the dropped ones)."""
+        return GJMSOperator(self.stiffness[:n, :n], self.mass[:n], self.shifts, self.dims)
 
 
 def euclidean_laplacian_radial(dims: DimensionParams, grid: RadialGrid) -> DiscreteOperator:
@@ -164,31 +186,16 @@ def gjms_shifts(k: int) -> tuple:
 
 
 def gjms_assemble(dims: DimensionParams, grid: RadialGrid) -> GJMSOperator:
-    """Assemble P_k = prod_j (P_1 + j(j-1)) on H^{2k}, factor by factor.
+    """Assemble P_k = prod_j (P_1 + j(j-1)) on H^{2k} as its factors.
 
     P_1 = -Delta_g - N(N-2)/4 with N(N-2)/4 = k(k-1) in the critical
     dimension, so each factor is A + sigma_j for the same A = -Delta_g.
+    No product is multiplied out here; see ``GJMSOperator.energy_matrix``.
     """
     if dims.N != 2 * dims.k:
         raise DomainError("critical GJMS assembly requires N = 2k")
     K, M = _laplacian_parts(dims, grid, "hyperbolic")
-    shifts = gjms_shifts(dims.k)
-    A = (sp.diags(1.0 / M) @ K).tocsr()
-    P = None
-    eye = sp.identity(grid.n_nodes, format="csr")
-    for sigma in shifts:
-        factor = (A + sigma * eye).tocsr()
-        P = factor if P is None else (factor @ P).tocsr()
-    return GJMSOperator(
-        grid,
-        P,
-        symbol=f"gjms_P{dims.k}",
-        order=2 * dims.k,
-        mass=M,
-        shifts=shifts,
-        stiffness=K,
-        dims=dims,
-    )
+    return GJMSOperator(K, M, gjms_shifts(dims.k), dims)
 
 
 @dataclass
@@ -230,23 +237,21 @@ def euclidean_gradk_energy(v: RadialFunction, dims: DimensionParams) -> float:
             "the flat energy is truncated",
             stacklevel=2,
         )
-    K, M = _laplacian_parts(dims, grid, "euclidean")
-    z = vals.copy()
-    for _ in range(k // 2 if k % 2 == 0 else (k - 1) // 2):
-        z = (K @ z) / M
-    if k % 2 == 0:
-        # z holds (-Delta)^{k/2} v
-        return dims.omega_Nm1 * float(np.dot(M, z * z))
-    return dims.omega_Nm1 * float(z @ (K @ z))
+    return _gradient_energy(vals, *_laplacian_parts(dims, grid, "euclidean"), k, dims)
 
 
 def iterated_gradient_energy(u: RadialFunction, dims: DimensionParams, m: int) -> float:
     """int |grad_g^m u|^2_g dv_g for a radial profile (m >= 0)."""
     if m < 0:
         raise DomainError("gradient order must be nonnegative")
-    K, M = _laplacian_parts(dims, u.grid, "hyperbolic")
-    z = u.values.copy()
-    for _ in range(m // 2 if m % 2 == 0 else (m - 1) // 2):
+    return _gradient_energy(u.values, *_laplacian_parts(dims, u.grid, "hyperbolic"), m, dims)
+
+
+def _gradient_energy(vals, K, M, m: int, dims: DimensionParams) -> float:
+    """omega int |grad^m v|^2 from the radial pair (K, M): ||(M^{-1}K)^{m/2} v||_M^2
+    for even m, the K-form of (M^{-1}K)^{(m-1)/2} v for odd m."""
+    z = vals
+    for _ in range(m // 2):
         z = (K @ z) / M
     if m % 2 == 0:
         return dims.omega_Nm1 * float(np.dot(M, z * z))

@@ -185,43 +185,26 @@ class SolveResult:
 
 
 class _Discretization:
-    """Restricted (Dirichlet at R_max) weighted matrices for one problem."""
+    """The GJMS operator restricted to the nodes below R_max (Dirichlet at
+    R_max) and the problem data on those nodes."""
 
     def __init__(self, problem: PDEProblem):
-        dims, grid = problem.dims, problem.grid
-        op = gjms_assemble(dims, grid)
-        n = grid.n_nodes
-        keep = np.arange(n - 1)  # drop the boundary node at R_max
-        self.keep = keep
-        K = op.stiffness.tocsc()[keep][:, keep].tocsr()
-        M = op.mass[keep]
-        self.omega = dims.omega_Nm1
-        self.mass_dv = self.omega * M  # discrete dv_g weights
-        self.shifts = op.shifts
-        self.K = K
-        self.M = M
-        Minv = sp.diags(1.0 / M)
-        weighted = None
-        for sigma in self.shifts:
-            B = (K + sigma * sp.diags(M)).tocsr()
-            weighted = B if weighted is None else (weighted @ Minv @ B).tocsr()
-        # omega * M P_k: symmetric positive definite energy matrix
-        self.H0 = (self.omega * weighted).tocsr()
-        self.Q1 = problem.Q1.values[keep]
-        self.Q2 = problem.Q2.values[keep]
+        grid = problem.grid
+        self.n = grid.n_nodes - 1  # drop the boundary node at R_max
+        self.op = gjms_assemble(problem.dims, grid).restrict(self.n)
+        self.H0 = self.op.energy_matrix  # omega M P_k, symmetric positive definite
+        self.mass_dv = problem.dims.omega_Nm1 * self.op.mass  # discrete dv_g weights
+        self.Q1 = problem.Q1.values[: self.n]
+        self.Q2 = problem.Q2.values[: self.n]
         self.grid = grid
-        self.n = keep.size
 
-    def apply_pk(self, u: np.ndarray) -> np.ndarray:
-        """Pointwise P_k u by factor-by-factor application (raw route)."""
-        z = u.copy()
-        for sigma in self.shifts:
-            z = (self.K @ z) / self.M + sigma * z
-        return z
+    def interior(self, u) -> np.ndarray:
+        """Interior node values of a full-grid function (arrays pass through)."""
+        return u.values[: self.n] if isinstance(u, RadialFunction) else np.asarray(u)
 
     def embed(self, u: np.ndarray) -> RadialFunction:
         full = np.zeros(self.grid.n_nodes)
-        full[self.keep] = u
+        full[: self.n] = u
         return RadialFunction(self.grid, full)
 
     def dv_norm(self, r: np.ndarray) -> float:
@@ -248,8 +231,7 @@ def functional_J(u, problem: PDEProblem, disc: _Discretization | None = None) ->
     if problem.mode != CONVEX:
         raise DomainError("functional_J belongs to the convex mode")
     disc = disc or _Discretization(problem)
-    uv = u.values[disc.keep] if isinstance(u, RadialFunction) else np.asarray(u)
-    return _J_value(uv, disc, strict=True)
+    return _J_value(disc.interior(u), disc, strict=True)
 
 
 def _J_value(u: np.ndarray, disc: _Discretization, strict: bool = False) -> float:
@@ -263,18 +245,25 @@ def _J_value(u: np.ndarray, disc: _Discretization, strict: bool = False) -> floa
     return quad - linear - nonlinear
 
 
+def _convex_linearize(u: np.ndarray, disc: _Discretization) -> tuple:
+    """Convex-mode residual P_k u + Q1 - Q2 e^{2u} (the dv_g-gradient of J,
+    through raw factor applications), the gradient against the discrete
+    dv_g weights, and the sparse Hessian H0 - 2 diag(mass_dv Q2 e^{2u})."""
+    e2u = _exp2u(u, True)
+    res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u
+    hess = disc.H0 + sp.diags(-2.0 * disc.mass_dv * disc.Q2 * e2u)
+    return res, disc.mass_dv * res, hess, None
+
+
 def gradient_J(
     u, problem: PDEProblem, disc: _Discretization | None = None
 ) -> np.ndarray:
     """Gradient of J against the dv_g inner product:
-    P_k u - Q - Q2 (e^{2u} - 1); identical to the equation residual."""
+    P_k u + Q1 - Q2 e^{2u}; identical to the equation residual."""
     if problem.mode != CONVEX:
         raise DomainError("gradient_J belongs to the convex mode")
     disc = disc or _Discretization(problem)
-    uv = u.values[disc.keep] if isinstance(u, RadialFunction) else np.asarray(u)
-    e2u = _exp2u(uv, True)
-    Q = disc.Q2 - disc.Q1
-    return disc.apply_pk(uv) - Q - disc.Q2 * (e2u - 1.0)
+    return _convex_linearize(disc.interior(u), disc)[0]
 
 
 def hessian_action_J(
@@ -284,23 +273,16 @@ def hessian_action_J(
     if problem.mode != CONVEX:
         raise DomainError("hessian_action_J belongs to the convex mode")
     disc = disc or _Discretization(problem)
-    uv = u.values[disc.keep] if isinstance(u, RadialFunction) else np.asarray(u)
-    wv = w.values[disc.keep] if isinstance(w, RadialFunction) else np.asarray(w)
-    e2u = _exp2u(uv, True)
-    return disc.apply_pk(wv) - 2.0 * disc.Q2 * e2u * wv
+    hess = _convex_linearize(disc.interior(u), disc)[2]
+    return (hess @ disc.interior(w)) / disc.mass_dv
 
 
 def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray:
     """Oracle path: solve (omega M P_k) u = rhs via a banded Cholesky solve."""
-    H = disc.H0.toarray()
-    n = H.shape[0]
-    bw = 0
-    idx = np.nonzero(np.abs(H) > 0)
-    if idx[0].size:
-        bw = int(np.max(np.abs(idx[0] - idx[1])))
-    ab = np.zeros((bw + 1, n))
+    bw = disc.op.bandwidth
+    ab = np.zeros((bw + 1, disc.n))
     for i in range(bw + 1):
-        ab[bw - i, i:] = np.diag(H, k=i)
+        ab[bw - i, i:] = disc.H0.diagonal(i)
     return solveh_banded(ab, rhs_dv)
 
 
@@ -409,16 +391,9 @@ def solve_convex(
     if problem.mode != CONVEX:
         raise DomainError("solve_convex requires a convex-mode problem")
     disc = _Discretization(problem)
-
-    def linearize(u):
-        e2u = _exp2u(u, True)
-        res = disc.apply_pk(u) + disc.Q1 - disc.Q2 * e2u
-        hess = disc.H0 + sp.diags(-2.0 * disc.mass_dv * disc.Q2 * e2u)
-        return res, disc.mass_dv * res, hess, None
-
     return _damped_newton(
-        disc, np.zeros(disc.n), lambda u: _J_value(u, disc), linearize,
-        tol, max_iter, convex=True,
+        disc, np.zeros(disc.n), lambda u: _J_value(u, disc),
+        lambda u: _convex_linearize(u, disc), tol, max_iter, convex=True,
     )
 
 
@@ -436,7 +411,7 @@ def functional_JQ(u, problem: PDEProblem, disc: _Discretization | None = None) -
     if problem.mode != LOG_CONSTRAINED:
         raise DomainError("functional_JQ belongs to the log-constrained mode")
     disc = disc or _Discretization(problem)
-    uv = u.values[disc.keep] if isinstance(u, RadialFunction) else np.asarray(u)
+    uv = disc.interior(u)
     G = log_argument(uv, disc)
     if not 0.0 < G < math.inf:  # infeasible, or e^{2u} overflows
         return math.inf
@@ -473,7 +448,7 @@ def solve_log_constrained(
         G = disc.dv_dot(disc.Q2, e2u - 1.0)
         q2e = disc.mass_dv * disc.Q2 * e2u
         # stationarity of J_Q == shifted-equation residual; certify via that
-        res = disc.apply_pk(u) + disc.Q1 - disc.Q2 * e2u / G
+        res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u / G
         grad = 2.0 * (disc.H0 @ u) + 2.0 * disc.mass_dv * disc.Q1 - 2.0 * q2e / G
         hess = 2.0 * disc.H0 + sp.diags(-4.0 * q2e / G)
         return res, grad, hess, 2.0 * q2e / G
@@ -482,7 +457,7 @@ def solve_log_constrained(
         disc, _feasible_start(disc), lambda u: functional_JQ(u, problem, disc), linearize,
         tol, max_iter, convex=False,
     )
-    u = result.u.values[disc.keep]
+    u = disc.interior(result.u)
     result.additive_constant = -0.5 * math.log(log_argument(u, disc))
     return result
 
@@ -498,7 +473,7 @@ def ray_coercivity_table(
     b0 = beta0(dims.k, dims.N)
     rows = []
     for t in t_values:
-        uv = t * direction.values[disc.keep]
+        uv = t * disc.interior(direction)
         energy = float(uv @ (disc.H0 @ uv))
         J = functional_JQ(uv, problem, disc) if problem.mode == LOG_CONSTRAINED else _J_value(uv, disc)
         rows.append(

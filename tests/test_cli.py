@@ -272,3 +272,11 @@ class TestShippedConfigs:
     def test_converge_solve_pde_exits_zero(self, name, tmp_path):
         cfg = os.path.join(CONFIG_DIR, name)
         assert main(["converge", cfg, "--out", str(tmp_path)]) == 0
+
+    def test_converge_failure_names_the_failed_check(self, tmp_path, capsys):
+        # the k=2 convex study fails on its tolerance check, not on an order
+        cfg = os.path.join(CONFIG_DIR, "solve_pde_convex_k2.cfg")
+        assert main(["converge", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "residual is above tol" in err
+        assert "order" not in err

@@ -185,6 +185,23 @@ class TestHighPrecisionCrossValidation:
         assert abs(val - oracle) / oracle < 5e-10
 
 
+class TestFactoredOperator:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_apply_matches_matrix(self, k, geo_grid):
+        # factor-by-factor application against the multiplied-out matrix;
+        # both carry roundoff of size eps |P| |u|, which is large next to
+        # P u for a smooth u near the axis, so that is the scale compared
+        P = gjms_assemble(DimensionParams(k), geo_grid)
+        r = geo_grid.geodesic_nodes
+        u = np.exp(-(r**2)) * (1.0 + 0.3 * r)
+        A = P.matrix
+        got = P.apply(u)
+        via_matrix = A @ u
+        scale = abs(A) @ np.abs(u)
+        mask = r > 0
+        assert np.all(np.abs(got - via_matrix)[mask] <= 1e-12 * scale[mask])
+
+
 class TestBandedness:
     def test_bandwidth_grows_with_order(self, geo_grid):
         dims1, dims2 = DimensionParams(1), DimensionParams(2)

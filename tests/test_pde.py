@@ -169,6 +169,23 @@ def u_full(disc, u_interior):
     return RadialFunction(disc.grid, full)
 
 
+class TestRestrictedOperator:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_energy_matrix_matches_product(self, k, pde_grid):
+        # the solver's Dirichlet-restricted energy matrix against omega M
+        # times the pointwise product assembled factor by factor
+        import scipy.sparse as sp
+
+        prob = make_problem(pde_grid, k, lambda r: 0 * r, lambda r: 0 * r)
+        P, M = restricted_product_matrix(prob)
+        expected = sp.diags(prob.dims.omega_Nm1 * M) @ P
+        op = gjms_assemble(prob.dims, pde_grid).restrict(pde_grid.n_nodes - 1)
+        got = op.energy_matrix
+        assert got.shape == expected.shape
+        assert abs(got - expected).max() <= 1e-12 * abs(expected).max()
+        assert abs(_Discretization(prob).H0 - got).max() == 0.0
+
+
 class TestSolveConvex:
     def test_trivial_zero_solution(self, pde_grid):
         for k in (1, 2):

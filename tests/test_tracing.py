@@ -1,0 +1,36 @@
+"""The per-layer tracer of the benchmark (perfbench/tracing.py) still finds
+and counts the program's entry points.  The tracer is loaded from its file
+and is not modified; it is uninstalled after the run."""
+
+import importlib.util
+import os
+
+import pytest
+
+import hyperadams.cli as cli
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+@pytest.fixture
+def tracing():
+    path = os.path.join(ROOT, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_counts_assemblies_and_newton_iterations(tracing, tmp_path):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name in ("conformal_identity.cfg", "solve_pde_log_k1.cfg"):
+            cfg = os.path.join(ROOT, "configs", name)
+            assert cli.main(["run", cfg, "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["operators.assemblies"] > 0
+    assert metrics["operators.pk_nnz"] > 0
+    assert metrics["pde.newton_iters"] > 0
