@@ -5,7 +5,8 @@ Usage:
     hyperadams converge <config-file> [--out DIR] [--threads T]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 non-convergence.  HYPERADAMS_THREADS is the fallback for --threads.
+4 non-convergence.  HYPERADAMS_THREADS is the fallback for --threads; the
+thread count is validated, rows run in order and results do not depend on it.
 """
 
 from __future__ import annotations
@@ -42,28 +43,25 @@ def _parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads for independent rows "
-            "(default: HYPERADAMS_THREADS or 1)",
+            help="accepted and validated; rows run in order and results "
+            "do not depend on it (default: HYPERADAMS_THREADS or 1)",
         )
     return parser
 
 
-def _resolve_threads(arg_value) -> int:
-    if arg_value is not None:
-        return max(1, int(arg_value))
+def _check_threads_env(arg_value) -> None:
     env = os.environ.get("HYPERADAMS_THREADS")
-    if env:
+    if arg_value is None and env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise ConfigError(f"HYPERADAMS_THREADS={env!r} is not an integer")
-    return 1
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        threads = _resolve_threads(args.threads)
+        _check_threads_env(args.threads)
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -71,9 +69,9 @@ def main(argv=None) -> int:
     out_dir = args.out or cfg.output or "."
     try:
         if args.command == "run":
-            report = run_experiment(cfg, threads=threads)
+            report = run_experiment(cfg)
         else:
-            report = convergence_study(cfg, threads=threads)
+            report = convergence_study(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,17 +77,10 @@ def random_ball_profiles(grid: RadialGrid, rng, n: int, k: int, s0: float = 0.55
     return out
 
 
-def _threaded_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- individual experiments ---------------------------------------------------
 
 
-def run_constants(cfg: ExperimentConfig, threads: int) -> ExperimentReport:
+def run_constants(cfg: ExperimentConfig) -> ExperimentReport:
     k_max = cfg.params["k_max"]
     rows = []
     for k in range(1, k_max + 1):
@@ -143,7 +135,7 @@ def flat_oracle_energy(k: int, fn, r_max: float) -> float:
     return euclidean_gradk_energy(u, dims)
 
 
-def run_conformal_identity(cfg: ExperimentConfig, threads: int) -> ExperimentReport:
+def run_conformal_identity(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     orders = {}
     for k in cfg.params["k_list"]:
@@ -199,7 +191,7 @@ def run_conformal_identity(cfg: ExperimentConfig, threads: int) -> ExperimentRep
     )
 
 
-def run_inequalities(cfg: ExperimentConfig, threads: int) -> ExperimentReport:
+def run_inequalities(cfg: ExperimentConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     rows = []
     n_prof = cfg.params["n_profiles"]
@@ -250,21 +242,16 @@ def run_inequalities(cfg: ExperimentConfig, threads: int) -> ExperimentReport:
     )
 
 
-def run_blowup(cfg: ExperimentConfig, threads: int) -> ExperimentReport:
+def run_blowup(cfg: ExperimentConfig) -> ExperimentReport:
     k = cfg.params["k"]
     r_max = cfg.params["r_max"] or None
-    per_m = _threaded_map(
-        lambda m: blowup_experiment(
-            cfg.params["beta_list"],
-            [m],
-            k,
-            degree=cfg.params["poly_degree"],
-            r_max=r_max,
-        ),
-        list(cfg.params["m_list"]),
-        threads,
+    records = blowup_experiment(
+        cfg.params["beta_list"],
+        cfg.params["m_list"],
+        k,
+        degree=cfg.params["poly_degree"],
+        r_max=r_max,
     )
-    records = [rec for chunk in per_m for rec in chunk]
     fits = blowup_slopes(records)
     rows = []
     for rec in records:
@@ -299,14 +286,11 @@ def run_blowup(cfg: ExperimentConfig, threads: int) -> ExperimentReport:
     )
 
 
-def run_sobolev_asymptotics(cfg: ExperimentConfig, threads: int) -> ExperimentReport:
+def run_sobolev_asymptotics(cfg: ExperimentConfig) -> ExperimentReport:
     k = cfg.params["k"]
-    per_m = _threaded_map(
-        lambda m: sobolev_upper_experiment([m], k, degree=cfg.params["poly_degree"]),
-        list(cfg.params["m_list"]),
-        threads,
+    rows_data = sobolev_upper_experiment(
+        cfg.params["m_list"], k, degree=cfg.params["poly_degree"]
     )
-    rows_data = [row for chunk in per_m for row in chunk]
     rows = [(k, r.m, r.p, r.s_upper, r.p_s_upper, r.target) for r in rows_data]
     trend = [r.p_s_upper for r in rows_data]
     moving_toward = (
@@ -350,7 +334,7 @@ def _pde_problem(cfg: ExperimentConfig) -> PDEProblem:
     return PDEProblem.from_families(dims, grid, spec("q1"), spec("q2"), mode=mode)
 
 
-def run_solve_pde(cfg: ExperimentConfig, threads: int) -> ExperimentReport:
+def run_solve_pde(cfg: ExperimentConfig) -> ExperimentReport:
     problem = _pde_problem(cfg)
     tol, max_iter = cfg.params["tol"], cfg.params["max_iter"]
     if problem.mode == CONVEX:
@@ -389,7 +373,7 @@ def run_solve_pde(cfg: ExperimentConfig, threads: int) -> ExperimentReport:
     )
 
 
-def run_isometry_2d(cfg: ExperimentConfig, threads: int) -> ExperimentReport:
+def run_isometry_2d(cfg: ExperimentConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params
     disk = DiskGrid(s_max=0.92, n_radial=p["n_radial"], n_angular=p["n_angular"])
@@ -464,9 +448,9 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
-    report = _RUNNERS[cfg.experiment](cfg, threads)
+    report = _RUNNERS[cfg.experiment](cfg)
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -474,7 +458,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
 CONVERGENCE_CAPABLE = ("conformal-identity", "inequalities", "solve-pde")
 
 
-def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def convergence_study(cfg: ExperimentConfig) -> ExperimentReport:
     """Run an experiment at n, 2n, 4n elements and fit the observed order."""
     if cfg.experiment not in CONVERGENCE_CAPABLE:
         raise ConfigError(
@@ -489,7 +473,7 @@ def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
         level_cfg = ExperimentConfig(
             cfg.experiment, {**cfg.params, "levels": 3}, cfg.seed, cfg.output
         )
-        rep = run_conformal_identity(level_cfg, threads)
+        rep = run_conformal_identity(level_cfg)
         worst = math.inf
         for key, info in rep.diagnostics["orders"].items():
             errs = info["errors"]
@@ -511,7 +495,7 @@ def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
                 cfg.seed,
                 cfg.output,
             )
-            rep = run_solve_pde(level_cfg, threads)
+            rep = run_solve_pde(level_cfg)
             res = rep.rows[0][5]
             residuals.append(res)
             rows.append((f"level{lvl}", base * 2**lvl, res, rep.rows[0][3]))
@@ -528,7 +512,7 @@ def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
                 cfg.seed,
                 cfg.output,
             )
-            rep = run_inequalities(level_cfg, threads)
+            rep = run_inequalities(level_cfg)
             level_signs = {
                 (r[0], r[1], r[2]): math.copysign(1.0, r[4])
                 for r in rep.rows

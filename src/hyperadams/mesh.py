@@ -19,6 +19,7 @@ positive and ``(A u)_0`` remains a consistent axis value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,38 +37,42 @@ __all__ = [
     "geometric_edges",
 ]
 
-_GLL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
+@functools.cache
 def gauss_lobatto(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Lobatto-Legendre nodes and weights (p + 1 points on [-1, 1])."""
     if p < 1:
         raise ValueError("polynomial degree must be >= 1")
-    if p not in _GLL_CACHE:
-        coeff = np.zeros(p + 1)
-        coeff[-1] = 1.0
-        interior = npleg.legroots(npleg.legder(coeff))
-        x = np.concatenate(([-1.0], np.real(interior), [1.0]))
-        w = 2.0 / (p * (p + 1) * npleg.legval(x, coeff) ** 2)
-        x.flags.writeable = False
-        w.flags.writeable = False
-        _GLL_CACHE[p] = (x, w)
-    return _GLL_CACHE[p]
+    coeff = np.zeros(p + 1)
+    coeff[-1] = 1.0
+    interior = npleg.legroots(npleg.legder(coeff))
+    x = np.concatenate(([-1.0], np.real(interior), [1.0]))
+    w = 2.0 / (p * (p + 1) * npleg.legval(x, coeff) ** 2)
+    return _read_only(x), _read_only(w)
 
 
+@functools.cache
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights (n points on [-1, 1])."""
-    return np.polynomial.legendre.leggauss(n)
+    x, w = npleg.leggauss(n)
+    return _read_only(x), _read_only(w)
 
 
 def barycentric_weights(x: np.ndarray) -> np.ndarray:
-    """Barycentric weights for interpolation on distinct nodes ``x``."""
+    """Barycentric weights for interpolation on distinct nodes ``x``.
+
+    ``x`` may hold several node sets, one per row of its last axis."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    w = np.ones(n)
-    for j in range(n):
-        w[j] = 1.0 / np.prod(x[j] - np.delete(x, j))
-    return w / np.max(np.abs(w))
+    n = x.shape[-1]
+    i, j = np.nonzero(~np.eye(n, dtype=bool))  # off-diagonal pairs, row by row
+    gaps = (x[..., i] - x[..., j]).reshape(*x.shape[:-1], n, n - 1)
+    w = 1.0 / np.prod(gaps, axis=-1)
+    return w / np.max(np.abs(w), axis=-1, keepdims=True)
 
 
 def differentiation_matrix(x: np.ndarray) -> np.ndarray:
@@ -75,29 +80,32 @@ def differentiation_matrix(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     w = barycentric_weights(x)
     n = x.size
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
     D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (w[j] / w[i]) / (x[i] - x[j])
-        D[i, i] = -np.sum(D[i, np.arange(n) != i])
+    D[i, j] = (w[j] / w[i]) / (x[i] - x[j])
+    # summing each row with its zero diagonal would regroup the sum for n >= 8
+    D[np.diag_indices(n)] = -D[i, j].reshape(n, n - 1).sum(axis=1)
     return D
 
 
 def interpolate(x_nodes: np.ndarray, values: np.ndarray, x_eval: np.ndarray) -> np.ndarray:
-    """Barycentric evaluation of the interpolant through (x_nodes, values)."""
-    w = barycentric_weights(x_nodes)
+    """Barycentric evaluation of the interpolant through (x_nodes, values).
+
+    ``x_nodes`` and ``values`` hold the nodes on their last axis: either one
+    node set for every point of ``x_eval`` or one row per point.
+    """
+    x_nodes = np.asarray(x_nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
-    out = np.empty_like(x_eval)
-    for idx, xe in enumerate(x_eval):
-        diff = xe - x_nodes
-        exact = np.nonzero(diff == 0.0)[0]
-        if exact.size:
-            out[idx] = values[exact[0]]
-        else:
-            q = w / diff
-            out[idx] = np.dot(q, values) / np.sum(q)
-    return out
+    diff = x_eval[:, None] - x_nodes
+    hit = diff == 0.0
+    q = barycentric_weights(x_nodes) / np.where(hit, 1.0, diff)
+    # one BLAS dot per point, the same reduction as np.dot(q, values)
+    num = np.matmul(q[:, None, :], values[..., None])[:, 0, 0]
+    node_value = np.take_along_axis(
+        np.broadcast_to(values, q.shape), hit.argmax(axis=1)[:, None], axis=1
+    )[:, 0]
+    return np.where(hit.any(axis=1), node_value, num / q.sum(axis=1))
 
 
 def graded_edges(x_max: float, n_elements: int, grading: float = 1.0) -> np.ndarray:
@@ -149,33 +157,33 @@ class Mesh1D:
     """Composite Gauss-Lobatto mesh on [edges[0], edges[-1]].
 
     Interface nodes are shared (C0 global node set).  ``nodes`` has length
-    ``n_elements * p + 1``.
+    ``n_elements * p + 1``; row ``e`` of ``elements`` lists the global
+    indices of element ``e``'s nodes and ``jac[e]`` is its half-width.
     """
 
     edges: np.ndarray
     p: int
     nodes: np.ndarray = field(init=False, repr=False)
     quad_w: np.ndarray = field(init=False, repr=False)
+    elements: np.ndarray = field(init=False, repr=False)
+    jac: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
         object.__setattr__(self, "edges", edges)
-        xi, wref = gauss_lobatto(self.p)
+        xi, _ = gauss_lobatto(self.p)
         n_el = edges.size - 1
-        nodes = np.empty(n_el * self.p + 1)
-        quad = np.zeros(n_el * self.p + 1)
-        for e in range(n_el):
-            a, b = edges[e], edges[e + 1]
-            jac = 0.5 * (b - a)
-            sl = slice(e * self.p, e * self.p + self.p + 1)
-            nodes[sl] = 0.5 * (a + b) + jac * xi
-            quad[sl] += wref * jac
-        nodes.flags.writeable = False
-        quad.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "quad_w", quad)
+        elements = np.arange(n_el)[:, None] * self.p + np.arange(self.p + 1)
+        jac = 0.5 * (edges[1:] - edges[:-1])
+        local = 0.5 * (edges[:-1] + edges[1:])[:, None] + jac[:, None] * xi
+        object.__setattr__(self, "elements", _read_only(elements))
+        object.__setattr__(self, "jac", _read_only(jac))
+        # an interface node keeps the right element's value
+        nodes = np.append(local[:, :-1], local[-1, -1])
+        object.__setattr__(self, "nodes", _read_only(nodes))
+        object.__setattr__(self, "quad_w", _read_only(self._left_weights(n_el)))
 
     @property
     def n_elements(self) -> int:
@@ -184,9 +192,6 @@ class Mesh1D:
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
-
-    def element_slice(self, e: int) -> slice:
-        return slice(e * self.p, e * self.p + self.p + 1)
 
     def integrate(self, values: np.ndarray, x_max: float | None = None) -> float:
         """Quadrature of nodal data, optionally truncated at an element edge."""
@@ -202,14 +207,26 @@ class Mesh1D:
         return float(np.dot(self._left_weights(idx), values[:stop]))
 
     def _left_weights(self, edge_idx: int) -> np.ndarray:
-        """Quadrature weights for [edges[0], edges[edge_idx]] only."""
-        xi, wref = gauss_lobatto(self.p)
-        w = np.zeros(edge_idx * self.p + 1)
-        for e in range(edge_idx):
-            jac = 0.5 * (self.edges[e + 1] - self.edges[e])
-            sl = slice(e * self.p, e * self.p + self.p + 1)
-            w[sl] += wref * jac
-        return w
+        """Quadrature weights for [edges[0], edges[edge_idx]] only.
+
+        An interface node sums its left element's share, then its right's."""
+        _, wref = gauss_lobatto(self.p)
+        return np.bincount(
+            self.elements[:edge_idx].ravel(),
+            weights=(wref * self.jac[:edge_idx, None]).ravel(),
+            minlength=edge_idx * self.p + 1,
+        )
+
+    def _scatter(self, blocks: np.ndarray) -> sp.csr_matrix:
+        """Sum per-element ``(p+1, p+1)`` blocks into a global CSR matrix."""
+        rows = np.broadcast_to(self.elements[:, :, None], blocks.shape)
+        cols = np.broadcast_to(self.elements[:, None, :], blocks.shape)
+        A = sp.csr_matrix(
+            (blocks.ravel(), (rows.ravel(), cols.ravel())),
+            shape=(self.n_nodes, self.n_nodes),
+        )
+        A.sum_duplicates()
+        return A
 
     def stiffness(self, coeff: np.ndarray) -> sp.csr_matrix:
         """Assemble ``K[i,j] = int coeff(t) phi_i'(t) phi_j'(t) dt``.
@@ -220,23 +237,8 @@ class Mesh1D:
         coeff = np.asarray(coeff, dtype=float)
         xi, wref = gauss_lobatto(self.p)
         Dref = differentiation_matrix(xi)
-        rows, cols, vals = [], [], []
-        idx_local = np.arange(self.p + 1)
-        for e in range(self.n_elements):
-            jac = 0.5 * (self.edges[e + 1] - self.edges[e])
-            sl = self.element_slice(e)
-            w_el = wref * coeff[sl] / jac
-            Ke = Dref.T @ (w_el[:, None] * Dref)
-            gi = e * self.p + idx_local
-            rows.append(np.repeat(gi, self.p + 1))
-            cols.append(np.tile(gi, self.p + 1))
-            vals.append(Ke.ravel())
-        K = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        K.sum_duplicates()
-        return K
+        w_el = wref * coeff[self.elements] / self.jac[:, None]
+        return self._scatter(Dref.T @ (w_el[:, :, None] * Dref))
 
     def lumped_mass(
         self, coeff: np.ndarray, axis_fn: Callable[[np.ndarray], np.ndarray] | None = None
@@ -278,38 +280,15 @@ class Mesh1D:
         """Pointwise d/dt of nodal data (interface rows averaged)."""
         xi, _ = gauss_lobatto(self.p)
         Dref = differentiation_matrix(xi)
-        rows, cols, vals = [], [], []
         share = np.ones(self.n_nodes)
-        for e in range(1, self.n_elements):
-            share[e * self.p] = 0.5
-        idx_local = np.arange(self.p + 1)
-        for e in range(self.n_elements):
-            jac = 0.5 * (self.edges[e + 1] - self.edges[e])
-            gi = e * self.p + idx_local
-            Dl = Dref / jac
-            scale = share[gi].copy()
-            if e == 0:
-                scale[0] = 1.0
-            if e == self.n_elements - 1:
-                scale[-1] = 1.0
-            rows.append(np.repeat(gi, self.p + 1))
-            cols.append(np.tile(gi, self.p + 1))
-            vals.append((scale[:, None] * Dl).ravel())
-        D = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        D.sum_duplicates()
-        return D
+        share[self.p : -1 : self.p] = 0.5
+        scale = share[self.elements]
+        return self._scatter(scale[:, :, None] * (Dref / self.jac[:, None, None]))
 
     def evaluate(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Evaluate the piecewise interpolant of nodal data at points ``x``."""
         values = np.asarray(values, dtype=float)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
         el = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.n_elements - 1)
-        for e in np.unique(el):
-            mask = el == e
-            sl = self.element_slice(int(e))
-            out[mask] = interpolate(self.nodes[sl], values[sl], x[mask])
-        return out
+        local = self.elements[el]
+        return interpolate(self.nodes[local], values[local], x)

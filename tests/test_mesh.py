@@ -4,9 +4,11 @@ import pytest
 from hyperadams.mesh import (
     Mesh1D,
     differentiation_matrix,
+    gauss_legendre,
     gauss_lobatto,
     geometric_edges,
     graded_edges,
+    interpolate,
 )
 
 
@@ -29,10 +31,14 @@ def test_quadrature_polynomial_exactness(p):
         assert abs(got - exact) < 1e-13 * max(1.0, exact)
 
 
-def test_differentiation_exact_on_polynomials():
-    x, _ = gauss_lobatto(6)
+@pytest.mark.parametrize(
+    "x",
+    [gauss_lobatto(6)[0], gauss_lobatto(8)[0], gauss_legendre(24)[0]],
+    ids=["gll6", "gll8", "gl24"],
+)
+def test_differentiation_exact_on_polynomials(x):
     D = differentiation_matrix(x)
-    for deg in range(1, 7):
+    for deg in range(1, x.size):
         err = np.max(np.abs(D @ x**deg - deg * x ** (deg - 1)))
         assert err < 1e-12
 
@@ -61,6 +67,21 @@ def test_integrate_subinterval_requires_edge():
         mesh.integrate(f, x_max=0.7)
 
 
+def test_integrate_to_every_edge_sums_element_integrals():
+    edges = geometric_edges(3.0, 0.05, ratio=1.6, forced=(1.0,))
+    mesh = Mesh1D(edges, p=5)
+
+    def fn(t):
+        return np.exp(-t) * np.cos(3.0 * t)
+
+    pieces = [Mesh1D(edges[e : e + 2], p=5) for e in range(edges.size - 1)]
+    element_integrals = [sub.integrate(fn(sub.nodes)) for sub in pieces]
+    assert mesh.integrate(fn(mesh.nodes), x_max=edges[0]) == 0.0
+    for e in range(1, edges.size):
+        got = mesh.integrate(fn(mesh.nodes), x_max=edges[e])
+        assert abs(got - sum(element_integrals[:e])) < 1e-14
+
+
 def test_pointwise_derivative_interface_average():
     mesh = Mesh1D(graded_edges(2.0, 6, 1.5), p=6)
     D = mesh.deriv_matrix()
@@ -75,6 +96,10 @@ def test_evaluate_interpolant():
     pts = np.linspace(0.05, 2.95, 37)
     err = np.max(np.abs(mesh.evaluate(f, pts) - np.exp(-pts)))
     assert err < 1e-10
+    at_nodes = mesh.evaluate(f, mesh.nodes)
+    assert np.max(np.abs(at_nodes - f) / np.abs(f)) < 1e-14
+    x, v = mesh.nodes[:8], f[:8]
+    assert np.array_equal(interpolate(x, v, x), v)
 
 
 def test_graded_and_geometric_edges():

@@ -25,7 +25,7 @@ def test_traced_run_counts_assemblies_and_newton_iterations(tracing, tmp_path):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for name in ("conformal_identity.cfg", "solve_pde_log_k1.cfg"):
+        for name in ("conformal_identity.cfg", "solve_pde_log_k1.cfg", "blowup_k1.cfg"):
             cfg = os.path.join(ROOT, "configs", name)
             assert cli.main(["run", cfg, "--out", str(tmp_path)]) == 0
     finally:
@@ -34,3 +34,5 @@ def test_traced_run_counts_assemblies_and_newton_iterations(tracing, tmp_path):
     assert metrics["operators.assemblies"] > 0
     assert metrics["operators.pk_nnz"] > 0
     assert metrics["pde.newton_iters"] > 0
+    assert metrics["mesh.meshes_built"] > 0
+    assert metrics["mesh.nodes_assembled"] > 0
