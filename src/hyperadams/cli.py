@@ -80,22 +80,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     csv_path, json_path = report.write(out_dir)
     print(f"wrote {csv_path} and {json_path} ({report.wall_time_s:.2f}s)")
-    if cfg.experiment == "solve-pde" and not report.diagnostics.get("converged", True):
-        print("solver did not converge", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    diag = report.diagnostics
-    if args.command == "converge" and not diag.get("passed", True):
-        if "tol_saturated" in diag:
-            failed = "a refinement level's residual is above tol"
-        elif "sign_stable" in diag:
-            failed = "inequality margin signs change across refinement levels"
-        else:
-            failed = (
-                f"observed order {diag['observed_min_order']:.2f} is more than 0.5 "
-                f"below the documented order {diag['scheme_order']}"
-            )
-        print(f"convergence study failed: {failed}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    if report.failure:
+        print(report.failure, file=sys.stderr)
+        return EXIT_NONCONVERGENCE if args.command == "run" else EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -11,17 +11,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-EXPERIMENTS = (
-    "constants",
-    "conformal-identity",
-    "inequalities",
-    "blowup",
-    "sobolev-asymptotics",
-    "solve-pde",
-    "isometry-2d",
-)
-
-
 def _int(x: str) -> int:
     try:
         return int(x)
@@ -90,7 +79,6 @@ SCHEMAS = {
         "poly_degree": (_int, False, 6),
     },
     "solve-pde": {
-        **_GRID_KEYS,
         "n_elements": (_int, False, 20),
         "poly_degree": (_int, False, 4),
         "r_max": (_float, False, 12.0),
@@ -118,6 +106,8 @@ SCHEMAS = {
         "support_radius": (_float, False, 0.35),
     },
 }
+
+EXPERIMENTS = tuple(SCHEMAS)
 
 
 @dataclass(frozen=True)
@@ -186,10 +176,23 @@ def _check_ranges(experiment: str, v: dict) -> None:
         raise ConfigError("k must be >= 1")
     if "k_max" in v and v["k_max"] < 1:
         raise ConfigError("k_max must be >= 1")
+    if any(k < 1 for k in v.get("k_list", ())):
+        raise ConfigError("every k in k_list must be >= 1")
+    if v.get("levels", 2) < 2:
+        raise ConfigError("levels must be >= 2")
+    if v.get("n_profiles", 2) < 2:
+        raise ConfigError("n_profiles must be >= 2")
     if v.get("n_elements", 1) < 1:
         raise ConfigError("n_elements must be >= 1")
     if v.get("poly_degree", 2) < 2:
         raise ConfigError("poly_degree must be >= 2")
+    if "grading" in v:  # the geodesic grid keys
+        if not v["r_max"] > 0:
+            raise ConfigError("r_max must be positive")
+        if not v["grading"] > 0:
+            raise ConfigError("grading must be positive")
+    elif v.get("r_max", 0.0) < 0:  # blowup reads 0 as the per-k default
+        raise ConfigError("r_max must be >= 0")
     if "m_list" in v:
         if not v["m_list"]:
             raise ConfigError("m_list must be non-empty")

@@ -3,10 +3,13 @@
 Each experiment consumes a validated ExperimentConfig and produces an
 ExperimentReport whose CSV body is a pure function of (config, seed).
 Randomized sweeps draw from numpy's PCG64 generator seeded from the config.
+A runner or refinement study whose check fails says so in
+``ExperimentReport.failure``; the CLI turns that into an exit code.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -20,7 +23,7 @@ from .ball import (
     pushforward_2d,
 )
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .extremals import blowup_experiment, blowup_slopes, sobolev_upper_experiment
 from .inequalities import (
     beta0,
@@ -34,13 +37,7 @@ from .inequalities import (
     scalar_inequality_suite,
 )
 from .operators import SCHEME_ORDER, gjms_assemble, gjms_energy
-from .pde import (
-    CONVEX,
-    LOG_CONSTRAINED,
-    PDEProblem,
-    solve_convex,
-    solve_log_constrained,
-)
+from .pde import CONVEX, PDEProblem, solve_convex, solve_log_constrained
 from .reporting import ExperimentReport
 
 # fixed smooth bump family used by the conformal-identity experiment
@@ -49,6 +46,16 @@ BUMPS = {
     "gauss_poly": lambda r: (1.0 + r**2) * np.exp(-1.3 * r**2) * 0.7,
     "gauss_cos": lambda r: np.exp(-0.6 * r**2) * np.cos(r),
 }
+
+
+def _grid(params: dict, n_elements: int | None = None) -> RadialGrid:
+    """Geodesic grid from the config's grid keys."""
+    return RadialGrid.geodesic(
+        r_max=params["r_max"],
+        n_elements=n_elements or params["n_elements"],
+        degree=params["poly_degree"],
+        grading=params["grading"],
+    )
 
 
 def random_smooth_profiles(grid: RadialGrid, rng, n: int):
@@ -110,11 +117,6 @@ def run_constants(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _conformal_levels(cfg: ExperimentConfig):
-    base = cfg.params["n_elements"]
-    return [base * 2**lvl for lvl in range(cfg.params["levels"])]
-
-
 def flat_oracle_energy(k: int, fn, r_max: float) -> float:
     """Reference flat k-energy on an independent fine Euclidean-radius grid.
 
@@ -145,14 +147,9 @@ def run_conformal_identity(cfg: ExperimentConfig) -> ExperimentReport:
         for name, fn in BUMPS.items():
             oracle = flat_oracle_energy(k, fn, cfg.params["r_max"])
             errs = []
-            for n_el in _conformal_levels(cfg):
-                n_el = n_el * base_scale
-                grid = RadialGrid.geodesic(
-                    r_max=cfg.params["r_max"],
-                    n_elements=n_el,
-                    degree=cfg.params["poly_degree"],
-                    grading=cfg.params["grading"],
-                )
+            for lvl in range(cfg.params["levels"]):
+                n_el = cfg.params["n_elements"] * 2**lvl * base_scale
+                grid = _grid(cfg.params, n_el)
                 u = RadialFunction.from_callable(grid, fn)
                 op = gjms_assemble(dims, grid)
                 gjms_val = op.quadratic_form(u)
@@ -197,12 +194,7 @@ def run_inequalities(cfg: ExperimentConfig) -> ExperimentReport:
     n_prof = cfg.params["n_profiles"]
     for k in range(1, cfg.params["k_max"] + 1):
         dims = DimensionParams(k)
-        grid = RadialGrid.geodesic(
-            r_max=cfg.params["r_max"],
-            n_elements=cfg.params["n_elements"],
-            degree=cfg.params["poly_degree"],
-            grading=cfg.params["grading"],
-        )
+        grid = _grid(cfg.params)
         profiles = random_smooth_profiles(grid, rng, n_prof)
         for l in range(k):
             margins = [check_poincare_chain(u, k, l, dims) for u in profiles]
@@ -311,36 +303,27 @@ def run_sobolev_asymptotics(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _pde_problem(cfg: ExperimentConfig) -> PDEProblem:
+    """The configured problem; data outside its mode's hypotheses is a
+    configuration error, raised before any solve."""
     p = cfg.params
-    dims = DimensionParams(p["k"])
-    grid = RadialGrid.geodesic(
-        r_max=p["r_max"],
-        n_elements=p["n_elements"],
-        degree=p["poly_degree"],
-        grading=p["grading"],
+    q1, q2 = (
+        (
+            p[f"{q}_family"],
+            {key: p[f"{q}_{key}"] for key in ("amplitude", "width", "radius", "power")},
+        )
+        for q in ("q1", "q2")
     )
-    mode = CONVEX if p["mode"] == "convex" else LOG_CONSTRAINED
-
-    def spec(which: str):
-        family = p[f"{which}_family"]
-        params = {
-            "amplitude": p[f"{which}_amplitude"],
-            "width": p[f"{which}_width"],
-            "radius": p[f"{which}_radius"],
-            "power": p[f"{which}_power"],
-        }
-        return family, params
-
-    return PDEProblem.from_families(dims, grid, spec("q1"), spec("q2"), mode=mode)
+    dims, grid = DimensionParams(p["k"]), _grid(p)
+    try:
+        return PDEProblem.from_families(dims, grid, q1, q2, mode=p["mode"])
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run_solve_pde(cfg: ExperimentConfig) -> ExperimentReport:
     problem = _pde_problem(cfg)
-    tol, max_iter = cfg.params["tol"], cfg.params["max_iter"]
-    if problem.mode == CONVEX:
-        result = solve_convex(problem, tol=tol, max_iter=max_iter)
-    else:
-        result = solve_log_constrained(problem, tol=tol, max_iter=max_iter)
+    solve = solve_convex if problem.mode == CONVEX else solve_log_constrained
+    result = solve(problem, tol=cfg.params["tol"], max_iter=cfg.params["max_iter"])
     rows = [
         (
             cfg.params["mode"],
@@ -370,6 +353,7 @@ def run_solve_pde(cfg: ExperimentConfig) -> ExperimentReport:
             "objective_history": list(result.objective_history),
             "converged": result.converged,
         },
+        failure=None if result.converged else "solver did not converge",
     )
 
 
@@ -455,85 +439,95 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-CONVERGENCE_CAPABLE = ("conformal-identity", "inequalities", "solve-pde")
+def _at_level(cfg: ExperimentConfig, **params) -> ExperimentConfig:
+    return dataclasses.replace(cfg, params={**cfg.params, **params})
+
+
+# -- refinement studies -------------------------------------------------------
+# Each returns (columns, rows, diagnostics, passed, the check it makes).
+
+
+def _conformal_study(cfg: ExperimentConfig):
+    rep = run_conformal_identity(_at_level(cfg, levels=3))
+    rows = []
+    for key, info in rep.diagnostics["orders"].items():
+        errs = info["errors"]
+        monotone = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
+        rows.append((key, errs[0], errs[-1], info["observed_order"], monotone))
+    worst = min([math.inf] + [row[3] for row in rows])  # a NaN order never wins
+    diagnostics = {"observed_min_order": worst}
+    if not all(row[4] for row in rows):
+        diagnostics["non_monotone"] = [row[0] for row in rows if not row[4]]
+    return (
+        ["case", "coarse_error", "fine_error", "observed_order", "monotone"],
+        rows,
+        diagnostics,
+        worst >= SCHEME_ORDER - 0.5,
+        f"observed order {worst:.2f} is more than 0.5 "
+        f"below the documented order {SCHEME_ORDER}",
+    )
+
+
+def _inequalities_study(cfg: ExperimentConfig):
+    base = cfg.params["n_elements"]
+    rows, signs = [], []
+    for n_el in (base, 2 * base, 4 * base):
+        rep = run_inequalities(_at_level(cfg, n_elements=n_el, n_profiles=20))
+        signs.append({
+            (r[0], r[1], r[2]): math.copysign(1.0, r[4])
+            for r in rep.rows
+            if r[0] in ("poincare", "owen")
+        })
+        for (check, k, l), sign in signs[-1].items():
+            rows.append((f"{check}_k{k}_l{l}", n_el, sign, True))
+    passed = all(len({level[key] for level in signs}) == 1 for key in signs[0])
+    return (
+        ["case", "n_elements", "margin_sign", "placeholder"],
+        rows,
+        {"sign_stable": passed},
+        passed,
+        "inequality margin signs change across refinement levels",
+    )
+
+
+def _pde_study(cfg: ExperimentConfig):
+    base = cfg.params["n_elements"]
+    rows = []
+    for lvl, n_el in enumerate((base, 2 * base, 4 * base)):
+        row = run_solve_pde(_at_level(cfg, n_elements=n_el)).rows[0]
+        rows.append((f"level{lvl}", n_el, row[5], row[3]))
+    passed = all(row[2] <= cfg.params["tol"] for row in rows)
+    return (
+        ["case", "n_elements", "residual", "converged"],
+        rows,
+        {"tol_saturated": passed},
+        passed,
+        "a refinement level's residual is above tol",
+    )
+
+
+_STUDIES = {
+    "conformal-identity": _conformal_study,
+    "inequalities": _inequalities_study,
+    "solve-pde": _pde_study,
+}
 
 
 def convergence_study(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run an experiment at n, 2n, 4n elements and fit the observed order."""
-    if cfg.experiment not in CONVERGENCE_CAPABLE:
+    """Run an experiment at n, 2n, 4n elements and check its study."""
+    if cfg.experiment not in _STUDIES:
         raise ConfigError(
             f"experiment {cfg.experiment!r} does not support refinement studies"
         )
     start = time.perf_counter()
-    rows = []
-    diagnostics = {"scheme_order": SCHEME_ORDER}
-    passed = True
-    base = cfg.params["n_elements"]
-    if cfg.experiment == "conformal-identity":
-        level_cfg = ExperimentConfig(
-            cfg.experiment, {**cfg.params, "levels": 3}, cfg.seed, cfg.output
-        )
-        rep = run_conformal_identity(level_cfg)
-        worst = math.inf
-        for key, info in rep.diagnostics["orders"].items():
-            errs = info["errors"]
-            monotone = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
-            order = info["observed_order"]
-            worst = min(worst, order)
-            rows.append((key, errs[0], errs[-1], order, monotone))
-            if not monotone:
-                diagnostics.setdefault("non_monotone", []).append(key)
-        passed = worst >= SCHEME_ORDER - 0.5
-        diagnostics["observed_min_order"] = worst
-        columns = ["case", "coarse_error", "fine_error", "observed_order", "monotone"]
-    elif cfg.experiment == "solve-pde":
-        residuals = []
-        for lvl in range(3):
-            level_cfg = ExperimentConfig(
-                cfg.experiment,
-                {**cfg.params, "n_elements": base * 2**lvl},
-                cfg.seed,
-                cfg.output,
-            )
-            rep = run_solve_pde(level_cfg)
-            res = rep.rows[0][5]
-            residuals.append(res)
-            rows.append((f"level{lvl}", base * 2**lvl, res, rep.rows[0][3]))
-        tol = cfg.params["tol"]
-        passed = all(r <= tol for r in residuals)
-        diagnostics["tol_saturated"] = passed
-        columns = ["case", "n_elements", "residual", "converged"]
-    else:  # inequalities: margin signs stable across levels
-        signs = []
-        for lvl in range(3):
-            level_cfg = ExperimentConfig(
-                cfg.experiment,
-                {**cfg.params, "n_elements": base * 2**lvl, "n_profiles": 20},
-                cfg.seed,
-                cfg.output,
-            )
-            rep = run_inequalities(level_cfg)
-            level_signs = {
-                (r[0], r[1], r[2]): math.copysign(1.0, r[4])
-                for r in rep.rows
-                if r[0] in ("poincare", "owen")
-            }
-            signs.append(level_signs)
-            for key, sign in level_signs.items():
-                rows.append((f"{key[0]}_k{key[1]}_l{key[2]}", base * 2**lvl, sign, True))
-        keys = signs[0].keys()
-        passed = all(
-            len({lvl[key] for lvl in signs}) == 1 for key in keys
-        )
-        diagnostics["sign_stable"] = passed
-        columns = ["case", "n_elements", "margin_sign", "placeholder"]
-    diagnostics["passed"] = passed
+    columns, rows, diagnostics, passed, check = _STUDIES[cfg.experiment](cfg)
     report = ExperimentReport(
         experiment=f"{cfg.experiment}-convergence",
         config_echo=cfg.canonical(),
         columns=columns,
         rows=rows,
-        diagnostics=diagnostics,
+        diagnostics={"scheme_order": SCHEME_ORDER, **diagnostics, "passed": passed},
+        failure=None if passed else f"convergence study failed: {check}",
     )
     report.wall_time_s = time.perf_counter() - start
     return report

@@ -223,17 +223,18 @@ def moser_core_grid(m: int, degree: int = 6) -> RadialGrid:
 
 
 def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
-    """Construct the profile for concentration parameter m and sample it.
+    """Construct the profile for concentration parameter m and sample
+    u~_m = v_m(2 tanh(r/2)) on a geodesic grid.
 
-    Geodesic grids receive samples of u~_m = v_m(2 tanh(r/2)); Euclidean
-    grids on [0, 2] receive v_m itself, on [0, 1] the rescaled u~_m.  The
-    grid must resolve the concentration scale: node spacing around the inner
-    junction below 1/(4 sqrt(m)).
+    The grid must resolve the concentration scale: node spacing around the
+    inner junction below 1/(4 sqrt(m)).
     """
     if m < 2:
         raise DomainError("concentration parameter m must be >= 2")
     if k < 1:
         raise DomainError("k must be >= 1")
+    if grid.coordinate != GEODESIC:
+        raise DomainError("the Moser profile is sampled on a geodesic grid")
     L = math.log(m)
     M = moser_normalizer(k)
     peak = math.sqrt(L / (2.0 * M))
@@ -241,12 +242,7 @@ def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
     inner = np.array([1.0 / (math.sqrt(2.0 * M * L) * l) for l in range(1, k)])
     cutoff = _cutoff_coefficients(k, b)
 
-    if grid.coordinate == GEODESIC:
-        junction = euclidean_to_geodesic(0.5 / math.sqrt(m))
-    else:
-        junction = (
-            1.0 / math.sqrt(m) if grid.R_max > 1.0 + 1e-12 else 0.5 / math.sqrt(m)
-        )
+    junction = euclidean_to_geodesic(0.5 / math.sqrt(m))
     nodes = grid.mesh.nodes
     nearby = nodes[nodes <= 2.0 * junction]
     if nearby.size < 3 or np.min(np.diff(nearby)) > 1.0 / (4.0 * math.sqrt(m)):
@@ -265,12 +261,7 @@ def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
         cutoff_spline=cutoff,
         samples=None,  # filled below
     )
-    if grid.coordinate == GEODESIC:
-        values = profile.u_tilde(grid.euclidean_nodes, one_minus_s=grid.one_minus_s)
-    elif grid.R_max > 1.0 + 1e-12:
-        values = profile.v(nodes)
-    else:
-        values = profile.u_tilde(nodes)
+    values = profile.u_tilde(grid.euclidean_nodes, one_minus_s=grid.one_minus_s)
     profile.samples = RadialFunction(grid, values, support_radius=grid.R_max)
     return profile
 

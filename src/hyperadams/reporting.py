@@ -9,6 +9,7 @@ byte for byte.  Files are written atomically (temp file + rename).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ def format_cell(x) -> str:
     return str(x)
 
 
+@functools.cache  # the loaded code does not change within a process
 def _build_hash() -> str:
     try:
         out = subprocess.run(
@@ -51,7 +53,10 @@ def environment_stamp() -> dict:
 
 @dataclass
 class ExperimentReport:
-    """Structured record of one experiment run."""
+    """Structured record of one experiment run.
+
+    ``failure`` names the check a run or refinement study failed (None when
+    it passed); it is reported by the CLI and is written to neither file."""
 
     experiment: str
     config_echo: dict
@@ -60,6 +65,7 @@ class ExperimentReport:
     diagnostics: dict = field(default_factory=dict)
     environment: dict = field(default_factory=environment_stamp)
     wall_time_s: float = 0.0
+    failure: str | None = None
 
     def csv_text(self, timestamp: bool = True) -> str:
         lines = []

@@ -122,6 +122,23 @@ class TestReporting:
         assert payload["experiment"] == "demo"
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp_report_")]
 
+    def test_build_hash_computed_once_per_process(self, monkeypatch):
+        import hyperadams.reporting as reporting
+
+        calls = []
+        real_run = reporting.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args[0])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr("hyperadams.reporting.subprocess.run", counting_run)
+        reporting._build_hash.cache_clear()
+        first = ExperimentReport("a", {}, ["x"], [])
+        second = ExperimentReport("b", {}, ["x"], [])
+        assert len(calls) == 1 and calls[0][0] == "git"
+        assert first.environment["build_hash"] == second.environment["build_hash"]
+
 
 class TestCLI:
     def test_malformed_config_exit_2_no_output(self, tmp_path, capsys):
@@ -129,6 +146,44 @@ class TestCLI:
         out = tmp_path / "out"
         code = main(["run", cfg, "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = solve-pde\nk = 1\nq1_family = nope\n",
+            "experiment = solve-pde\nk = 1\nq1_width = -1\n",
+            "experiment = solve-pde\nk = 1\nmode = convex\nq2_amplitude = 1.0\n",
+            "experiment = solve-pde\nk = 1\nmode = log-constrained\n"
+            "q1_family = rational-decay\nq1_power = 0.1\n",
+            "experiment = solve-pde\nk = 1\nr_max = -3\n",
+            "experiment = conformal-identity\nk_list = 0\n",
+            "experiment = conformal-identity\nlevels = 1\n",
+            "experiment = conformal-identity\nlevels = 0\n",
+            "experiment = inequalities\nn_profiles = 1\n",
+            "experiment = inequalities\ngrading = 0\n",
+            "experiment = blowup\nk = 1\nbeta_list = 13.8\nm_list = 1000\nr_max = -2\n",
+        ],
+        ids=[
+            "pde-family",
+            "pde-width",
+            "pde-convex-q2",
+            "pde-log-power",
+            "pde-r_max",
+            "conformal-k_list",
+            "conformal-levels1",
+            "conformal-levels0",
+            "inequalities-n_profiles",
+            "inequalities-grading",
+            "blowup-r_max",
+        ],
+    )
+    def test_out_of_range_value_exit_2_no_output(self, tmp_path, capsys, text, command):
+        cfg = write(tmp_path, "bad.cfg", text)
+        out = tmp_path / "out"
+        assert main([command, cfg, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_constants_contains_first_order_row(self, tmp_path):
@@ -233,7 +288,7 @@ class TestCLI:
         assert payload["diagnostics"]["passed"]
         assert payload["diagnostics"]["observed_min_order"] >= 3.5
 
-    def test_nonconvergence_exit_code(self, tmp_path):
+    def test_nonconvergence_exit_code(self, tmp_path, capsys):
         cfg = write(
             tmp_path,
             "p.cfg",
@@ -244,6 +299,10 @@ class TestCLI:
             "tol = 1e-15\nmax_iter = 3\n",
         )
         assert main(["run", cfg, "--out", str(tmp_path)]) == 4
+        assert "solver did not converge" in capsys.readouterr().err
+        payload = json.loads(open(tmp_path / "solve-pde.json").read())
+        assert "failure" not in payload
+        assert "failure" not in (tmp_path / "solve-pde.csv").read_text()
 
 
 class TestShippedConfigs:

@@ -78,6 +78,11 @@ class TestProfileConstruction:
         with pytest.raises(DomainError):
             build_moser_profile(1, 1, moser_hyperbolic_grid(100, 1))
 
+    def test_geodesic_grid_required(self):
+        flat = RadialGrid.euclidean_ball(s_max=1.0, n_elements=8, degree=4)
+        with pytest.raises(DomainError, match="geodesic"):
+            build_moser_profile(100, 1, flat)
+
     def test_order_k_jump_is_finite_and_recorded(self):
         prof = build_moser_profile(1000, 2, moser_hyperbolic_grid(1000, 2))
         jump = prof.branch_mismatch()["cutoff_order_k_jump"]

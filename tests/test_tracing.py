@@ -28,11 +28,15 @@ def test_traced_run_counts_assemblies_and_newton_iterations(tracing, tmp_path):
         for name in ("conformal_identity.cfg", "solve_pde_log_k1.cfg", "blowup_k1.cfg"):
             cfg = os.path.join(ROOT, "configs", name)
             assert cli.main(["run", cfg, "--out", str(tmp_path)]) == 0
+        # the refinement study solves its three levels through the wrapped solver
+        cfg = os.path.join(ROOT, "configs", "solve_pde_log_k1.cfg")
+        assert cli.main(["converge", cfg, "--out", str(tmp_path)]) == 0
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["operators.assemblies"] > 0
     assert metrics["operators.pk_nnz"] > 0
     assert metrics["pde.newton_iters"] > 0
+    assert metrics["pde.solves"] == 4
     assert metrics["mesh.meshes_built"] > 0
     assert metrics["mesh.nodes_assembled"] > 0
