@@ -370,12 +370,11 @@ def integrate_radial(
 
 def tail_fraction(f: RadialFunction, dims: DimensionParams) -> float:
     """|last element's share| of int |f| dv_g; > 1e-12 suggests truncation."""
-    density = f.grid.hyperbolic_density(dims)
-    total = f.grid.mesh.integrate(np.abs(f.values) * density)
+    integrand = np.abs(f.values) * f.grid.hyperbolic_density(dims)
+    total = f.grid.mesh.integrate(integrand)
     if total == 0.0:
         return 0.0
-    last_edge = f.grid.mesh.edges[-2]
-    head = f.grid.mesh.integrate(np.abs(f.values) * density, x_max=float(last_edge))
+    head = f.grid.mesh.integrate(integrand, x_max=float(f.grid.mesh.edges[-2]))
     return abs(total - head) / total
 
 

@@ -36,7 +36,7 @@ from .inequalities import (
     owen_constant,
     scalar_inequality_suite,
 )
-from .operators import SCHEME_ORDER, gjms_assemble, gjms_energy
+from .operators import SCHEME_ORDER, euclidean_gradk_energy, gjms_assemble
 from .pde import CONVEX, PDEProblem, solve_convex, solve_log_constrained
 from .reporting import ExperimentReport
 
@@ -124,16 +124,10 @@ def flat_oracle_energy(k: int, fn, r_max: float) -> float:
     the oracle shares neither nodes, coordinate, weights nor operator with
     the hyperbolic quadratic form it checks.
     """
-    from .ball import euclidean_to_geodesic
-    from .operators import euclidean_gradk_energy
-
     dims = DimensionParams(k)
     s_max = math.tanh(r_max / 2.0)
     grid = RadialGrid.euclidean_ball(s_max=s_max, n_elements=40, degree=9, grading=1.3)
-    s = grid.mesh.nodes
-    r = np.zeros_like(s)
-    r[1:] = euclidean_to_geodesic(s[1:])
-    u = RadialFunction(grid, np.asarray(fn(r), dtype=float))
+    u = RadialFunction(grid, np.asarray(fn(grid.geodesic_nodes), dtype=float))
     return euclidean_gradk_energy(u, dims)
 
 

@@ -84,20 +84,28 @@ def _cutoff_eval(coeffs: np.ndarray, l: int, w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MoserProfile:
-    """Parameters and samples of the concentration profile for one m."""
+    """The concentration profile for one (m, k); its parameters follow from (m, k)."""
 
     m: int
     k: int
-    M: float
-    log_m: float
-    peak: float  # sqrt(log m / 2M)
-    slope: float  # b = sqrt(2 / (M log m))
-    inner_coeffs: np.ndarray  # coefficient of (1 - m rho^2)^l, l = 1..k-1
-    cutoff_spline: np.ndarray  # xi in powers of (rho - 1) on [1, 2]
-    samples: RadialFunction
+    samples: RadialFunction | None = None  # u~_m, filled by build_moser_profile
+    M: float = field(init=False)
+    log_m: float = field(init=False)
+    peak: float = field(init=False)  # sqrt(log m / 2M)
+    slope: float = field(init=False)  # b = sqrt(2 / (M log m))
+    inner_coeffs: np.ndarray = field(init=False)  # of (1 - m rho^2)^l, l = 1..k-1
+    cutoff_spline: np.ndarray = field(init=False)  # xi in powers of 2 - rho on [1, 2]
     r_inner: float = field(init=False)  # 1/sqrt(m), in v-coordinates
 
     def __post_init__(self):
+        L = self.log_m = math.log(self.m)
+        M = self.M = moser_normalizer(self.k)
+        self.peak = math.sqrt(L / (2.0 * M))
+        self.slope = math.sqrt(2.0 / (M * L))
+        self.inner_coeffs = np.array(
+            [1.0 / (math.sqrt(2.0 * M * L) * l) for l in range(1, self.k)]
+        )
+        self.cutoff_spline = _cutoff_coefficients(self.k, self.slope)
         self.r_inner = 1.0 / math.sqrt(self.m)
 
     # -- evaluation ---------------------------------------------------------
@@ -181,6 +189,12 @@ class MoserProfile:
         return float(np.max(np.abs(self.v(rho))))
 
 
+def _junction_radius(m: int) -> float:
+    """Geodesic radius of the inner junction: rho = 1/sqrt(m) in v, so
+    s = 1/(2 sqrt(m)) in u~."""
+    return euclidean_to_geodesic(0.5 / math.sqrt(m))
+
+
 def moser_energy_grid(m: int, k: int, degree: int = 6) -> RadialGrid:
     """Flat radial grid on [0, 2] for the profile's k-energy.
 
@@ -200,9 +214,8 @@ def moser_hyperbolic_grid(
     """Geodesic grid resolving u~_m for hyperbolic-measure functionals."""
     if r_max is None:
         r_max = 4.0 if k == 1 else 32.0
-    r_junction = euclidean_to_geodesic(0.5 / math.sqrt(m))
     outer = euclidean_to_geodesic(0.5)  # image of rho = 1
-    h0 = _H_FIRST_FRACTION * r_junction
+    h0 = _H_FIRST_FRACTION * _junction_radius(m)
     return RadialGrid.geodesic_geometric(
         r_max, h0, ratio=_GRADING_RATIO, degree=degree, h_cap=1.0,
         forced_edges=(outer,),
@@ -216,9 +229,8 @@ def moser_core_grid(m: int, degree: int = 6) -> RadialGrid:
     in v, s = 1/(2 sqrt(m)) in u~); its radius is the grid's last edge, so
     quadrature over the grid is the functional restricted to the core.
     """
-    r_core = euclidean_to_geodesic(0.5 / math.sqrt(m))
     return RadialGrid.geodesic(
-        r_max=r_core, n_elements=_CORE_ELEMENTS, degree=degree, grading=1.0
+        r_max=_junction_radius(m), n_elements=_CORE_ELEMENTS, degree=degree, grading=1.0
     )
 
 
@@ -235,32 +247,14 @@ def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
         raise DomainError("k must be >= 1")
     if grid.coordinate != GEODESIC:
         raise DomainError("the Moser profile is sampled on a geodesic grid")
-    L = math.log(m)
-    M = moser_normalizer(k)
-    peak = math.sqrt(L / (2.0 * M))
-    b = math.sqrt(2.0 / (M * L))
-    inner = np.array([1.0 / (math.sqrt(2.0 * M * L) * l) for l in range(1, k)])
-    cutoff = _cutoff_coefficients(k, b)
-
-    junction = euclidean_to_geodesic(0.5 / math.sqrt(m))
     nodes = grid.mesh.nodes
-    nearby = nodes[nodes <= 2.0 * junction]
+    nearby = nodes[nodes <= 2.0 * _junction_radius(m)]
     if nearby.size < 3 or np.min(np.diff(nearby)) > 1.0 / (4.0 * math.sqrt(m)):
         raise ResolutionError(
             f"grid spacing near the origin does not resolve 1/sqrt(m) for m={m}"
         )
 
-    profile = MoserProfile(
-        m=m,
-        k=k,
-        M=M,
-        log_m=L,
-        peak=peak,
-        slope=b,
-        inner_coeffs=inner,
-        cutoff_spline=cutoff,
-        samples=None,  # filled below
-    )
+    profile = MoserProfile(m, k)
     values = profile.u_tilde(grid.euclidean_nodes, one_minus_s=grid.one_minus_s)
     profile.samples = RadialFunction(grid, values, support_radius=grid.R_max)
     return profile
@@ -270,7 +264,6 @@ def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
 class MoserEnergy:
     energy: float
     deviation_times_logm: float
-    n_nodes: int
 
 
 def moser_energy(profile: MoserProfile, dims: DimensionParams,
@@ -285,13 +278,21 @@ def moser_energy(profile: MoserProfile, dims: DimensionParams,
     if dims.k != profile.k:
         raise DomainError("dimension parameters do not match the profile")
     grid = moser_energy_grid(profile.m, profile.k, degree=degree)
-    v = RadialFunction(grid, profile.v(grid.mesh.nodes), support_radius=2.0)
+    v = RadialFunction.from_callable(grid, profile.v, 2.0)
     energy = euclidean_gradk_energy(v, dims)
     return MoserEnergy(
-        energy=energy,
-        deviation_times_logm=(energy - 1.0) * profile.log_m,
-        n_nodes=grid.n_nodes,
+        energy=energy, deviation_times_logm=(energy - 1.0) * profile.log_m
     )
+
+
+def _normalized_profile(
+    m: int, k: int, degree: int, r_max: float | None = None
+) -> tuple[MoserProfile, float]:
+    """The profile for (m, k) sampled on its hyperbolic grid, and its
+    squared critical energy E (u~_m / sqrt(E) is the normalized family)."""
+    hgrid = moser_hyperbolic_grid(m, k, r_max=r_max, degree=degree)
+    profile = build_moser_profile(m, k, hgrid)
+    return profile, moser_energy(profile, DimensionParams(k), degree=degree).energy
 
 
 @dataclass
@@ -330,13 +331,10 @@ def blowup_experiment(
     values stay bounded along the family.
     """
     dims = DimensionParams(k)
-    M = moser_normalizer(k)
     records = []
     for m in m_list:
         m = int(m)
-        hgrid = moser_hyperbolic_grid(m, k, r_max=r_max, degree=degree)
-        profile = build_moser_profile(m, k, hgrid)
-        energy = moser_energy(profile, dims, degree=degree).energy
+        profile, energy = _normalized_profile(m, k, degree, r_max)
         u_norm = profile.samples.scaled(1.0 / math.sqrt(energy))
         core = moser_core_grid(m, degree=degree)
         core_u = profile.u_tilde(
@@ -352,7 +350,7 @@ def blowup_experiment(
                     energy=energy,
                     normalized=True,
                     functional_value=value,
-                    predicted_exponent=float(beta) / (2.0 * M) - k,
+                    predicted_exponent=float(beta) / (2.0 * profile.M) - k,
                     core_value=_core_functional(core_u, core_dv, float(beta)),
                 )
             )
@@ -423,9 +421,7 @@ def sobolev_upper_experiment(m_list, k: int, degree: int = 6) -> list[SobolevUpp
     for m in m_list:
         m = int(m)
         p = 2.0 * k * math.log(m)
-        hgrid = moser_hyperbolic_grid(m, k, degree=degree)
-        profile = build_moser_profile(m, k, hgrid)
-        energy = moser_energy(profile, dims, degree=degree).energy
+        profile, energy = _normalized_profile(m, k, degree)
         lp = lp_norm_hyperbolic(profile.samples, p, dims)
         s_upper = energy / lp**2
         rows.append(

@@ -15,9 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import DimensionParams, RadialFunction, sphere_area
-from .errors import DomainError, NonFiniteSampleError
-from .operators import GJMSOperator, gjms_assemble, iterated_gradient_energy
+from .ball import (
+    DimensionParams,
+    RadialFunction,
+    integrate_radial,
+    sphere_area,
+    tail_fraction,
+)
+from .errors import DomainError
+from .operators import (
+    GJMSOperator,
+    euclidean_gradk_energy,
+    gjms_assemble,
+    iterated_gradient_energy,
+)
 
 EXP_OVERFLOW_LIMIT = 700.0  # natural-log scale of the double range
 
@@ -131,24 +142,17 @@ def adams_functional(u: RadialFunction, beta: float, dims: DimensionParams) -> f
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
-    vals = u.values
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteSampleError("non-finite samples in the functional")
-    expo = beta * vals**2
+    expo = beta * u.values**2
     if np.max(expo) > EXP_OVERFLOW_LIMIT:
         return math.inf
-    density = u.grid.hyperbolic_density(dims)
-    integrand = np.expm1(expo) * density
-    total = u.grid.mesh.integrate(integrand)
-    if total != 0.0:
-        head = u.grid.mesh.integrate(integrand, x_max=float(u.grid.mesh.edges[-2]))
-        if abs(total - head) > 1e-12 * abs(total):
-            warnings.warn(
-                "tail beyond the truncation radius exceeds 1e-12 of the "
-                "functional; increase R_max",
-                stacklevel=2,
-            )
-    return float(total)
+    g = RadialFunction(u.grid, np.expm1(expo))
+    if tail_fraction(g, dims) > 1e-12:
+        warnings.warn(
+            "tail beyond the truncation radius exceeds 1e-12 of the "
+            "functional; increase R_max",
+            stacklevel=2,
+        )
+    return integrate_radial(g, dims)
 
 
 def check_poincare_chain(
@@ -179,8 +183,6 @@ def check_owen(u: RadialFunction, k: int) -> float:
     if np.max(s) > 1.0 + 1e-12:
         raise DomainError("Owen margin is for profiles on the unit ball")
     dims = DimensionParams(k)
-    from .operators import euclidean_gradk_energy
-
     vmax = np.max(np.abs(u.values))
     boundary_zone = s > 1.0 - 1e-9
     if vmax > 0 and np.any(np.abs(u.values[boundary_zone]) > 1e-12 * vmax):
@@ -192,8 +194,8 @@ def check_owen(u: RadialFunction, k: int) -> float:
     weight = np.zeros_like(s)
     interior = s < 1.0
     weight[interior] = (1.0 - s[interior]) ** (-2 * k)
-    dens = grid.euclidean_density(dims)
-    w_int = grid.mesh.integrate(u.values**2 * weight * dens)
+    weighted = RadialFunction(grid, u.values**2 * weight)
+    w_int = integrate_radial(weighted, dims, measure="euclidean")
     return lhs - owen_constant(k) * w_int
 
 
@@ -261,9 +263,7 @@ def linearized_adams_bound(
     expo = 2.0 * u.values
     if np.max(expo) > EXP_OVERFLOW_LIMIT:
         return -math.inf
-    integrand = np.expm1(expo) - expo
-    density = u.grid.hyperbolic_density(dims)
-    val = u.grid.mesh.integrate(integrand * density)
+    val = integrate_radial(RadialFunction(u.grid, np.expm1(expo) - expo), dims)
     lhs = math.log(val) if val > 0 else -math.inf
     return calibration + energy / (b0 * delta) - lhs
 
