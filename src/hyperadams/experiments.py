@@ -204,10 +204,13 @@ def run_inequalities(cfg: ExperimentConfig) -> ExperimentReport:
             ("owen", k, 0, len(owen_margins), float(np.min(owen_margins)), float(np.median(owen_margins)))
         )
         op = gjms_assemble(dims, grid)
+        fitted = profiles[:20]
         calib = fit_linearized_calibration(
-            profiles[:20], cfg.params["delta"], dims, operator=op
+            fitted, cfg.params["delta"], dims, operator=op
         )
-        rows.append(("linearized_calibration", k, 0, 20, calib, cfg.params["delta"]))
+        rows.append(
+            ("linearized_calibration", k, 0, len(fitted), calib, cfg.params["delta"])
+        )
     suite = scalar_inequality_suite(seed=cfg.seed)
     rows.append(
         (

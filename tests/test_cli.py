@@ -270,6 +270,16 @@ class TestCLI:
         )
         assert payload["diagnostics"]["sign_stable"]
 
+    def test_calibration_row_counts_the_profiles_it_fits(self, tmp_path):
+        # the calibration fits at most 20 profiles; with fewer, it fits them all
+        cfg = write(
+            tmp_path, "i.cfg", "experiment = inequalities\nk_max = 1\nn_profiles = 5\n"
+        )
+        assert main(["run", cfg, "--out", str(tmp_path)]) == 0
+        rows = json.loads(open(tmp_path / "inequalities.json").read())["rows"]
+        calibration = [row for row in rows if row[0] == "linearized_calibration"]
+        assert [row[3] for row in calibration] == [5]
+
     def test_converge_requires_capable_experiment(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", "experiment = constants\n")
         assert main(["converge", cfg, "--out", str(tmp_path)]) == 2
