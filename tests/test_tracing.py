@@ -34,6 +34,10 @@ def test_traced_run_counts_assemblies_and_newton_iterations(tracing, tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.spans)
+    calls = tracing.census(tracer.spans)
+    # the functionals integrate and check their tails through one quadrature
+    assert calls["ball.integrate_radial"] > 0
+    assert calls["ball.tail_fraction"] > 0
     assert metrics["operators.assemblies"] > 0
     assert metrics["operators.pk_nnz"] > 0
     assert metrics["pde.newton_iters"] > 0
