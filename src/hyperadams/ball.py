@@ -82,12 +82,12 @@ def geodesic_to_euclidean(r, complement: bool = False):
 def euclidean_to_geodesic(s, one_minus_s=None):
     """r = log((1+s)/(1-s)); pass ``one_minus_s`` for full accuracy near 1."""
     s_arr = np.asarray(s, dtype=float)
-    if one_minus_s is None:
-        one_minus_s = 1.0 - s_arr
-    oms = np.asarray(one_minus_s, dtype=float)
+    given = one_minus_s is not None
+    oms = np.asarray(one_minus_s, dtype=float) if given else 1.0 - s_arr
     if np.any(s_arr < 0) or np.any(oms <= 0):
         raise DomainError("euclidean radius must lie in [0, 1)")
-    r = np.log1p(s_arr) - np.log(oms)
+    # log1p(-s) keeps the relative accuracy at small s that a rounded 1 - s loses
+    r = np.log1p(s_arr) - (np.log(oms) if given else np.log1p(-s_arr))
     return float(r) if np.isscalar(s) else r
 
 

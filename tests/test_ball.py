@@ -51,6 +51,12 @@ class TestRadiusConvert:
         s = math.tanh(0.5)
         assert abs(euclidean_to_geodesic(s) - 1.0) < 1e-14
 
+    def test_small_radius_relative_accuracy(self):
+        # r = 2 atanh(s); a rounded 1 - s would cost it ~1e-16/s relative
+        s = np.logspace(-30, math.log10(0.5), 200)
+        exact = np.array([2.0 * math.atanh(x) for x in s])
+        assert np.max(np.abs(euclidean_to_geodesic(s) - exact) / exact) <= 1e-15
+
     def test_round_trip_plain(self):
         r = np.linspace(0.0, 6.0, 200)
         s = geodesic_to_euclidean(r)

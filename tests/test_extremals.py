@@ -164,6 +164,16 @@ class TestBlowup:
             exact = math.expm1(rec.beta * peak**2 / rec.energy) * area
             assert abs(rec.core_value - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("k, rel_tol", [(1, 0.01), (2, 0.03)])
+    def test_core_slope_at_huge_m(self, k, rel_tol):
+        # the core radius comes from the junction s = 1/(2 sqrt(m)) ~ 1e-30:
+        # the core slope holds its predicted 0.1 k only if that radius keeps
+        # its relative accuracy (a halved radius read 0.081 at k = 1)
+        beta = 1.1 * 2 * moser_normalizer(k) * k
+        recs = blowup_experiment([beta], [10**30, 10**40, 10**50, 10**60], k=k)
+        fit = blowup_slopes(recs)[beta]
+        assert abs(fit["core_slope"] - fit["predicted_exponent"]) <= rel_tol * 0.1 * k
+
     def test_k2_runs(self):
         recs = blowup_experiment([1.2 * 2 * moser_normalizer(2) * 2], [100, 1000], k=2)
         assert all(r.functional_value > 0 for r in recs)
