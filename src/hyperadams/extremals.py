@@ -281,7 +281,8 @@ def moser_energy(profile: MoserProfile, dims: DimensionParams,
     v = RadialFunction.from_callable(grid, profile.v, 2.0)
     energy = euclidean_gradk_energy(v, dims)
     return MoserEnergy(
-        energy=energy, deviation_times_logm=(energy - 1.0) * profile.log_m
+        energy=energy,
+        deviation_times_logm=(energy - 1.0) * profile.log_m,
     )
 
 

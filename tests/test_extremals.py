@@ -166,9 +166,9 @@ class TestBlowup:
 
     @pytest.mark.parametrize("k, rel_tol", [(1, 0.01), (2, 0.03)])
     def test_core_slope_at_huge_m(self, k, rel_tol):
-        # the core radius comes from the junction s = 1/(2 sqrt(m)) ~ 1e-30:
-        # the core slope holds its predicted 0.1 k only if that radius keeps
-        # its relative accuracy (a halved radius read 0.081 at k = 1)
+        # the core radius is the junction s = 1/(2 sqrt(m)), down to 5e-31 here:
+        # the core slope reaches its predicted 0.1 k only if that radius keeps
+        # its relative accuracy
         beta = 1.1 * 2 * moser_normalizer(k) * k
         recs = blowup_experiment([beta], [10**30, 10**40, 10**50, 10**60], k=k)
         fit = blowup_slopes(recs)[beta]
