@@ -27,13 +27,13 @@ from .errors import ConfigError, DomainError
 from .extremals import blowup_experiment, blowup_slopes, sobolev_upper_experiment
 from .inequalities import (
     beta0,
-    check_owen,
-    check_poincare_chain,
     fit_linearized_calibration,
     liu_constant,
     moser_alpha,
     moser_normalizer,
     owen_constant,
+    owen_margins,
+    poincare_margins,
     scalar_inequality_suite,
 )
 from .operators import SCHEME_ORDER, euclidean_gradk_energy, gjms_assemble
@@ -59,15 +59,14 @@ def _grid(params: dict, n_elements: int | None = None) -> RadialGrid:
 
 
 def random_smooth_profiles(grid: RadialGrid, rng, n: int):
-    """Seeded family of smooth, decaying, even radial profiles."""
-    nodes = grid.mesh.nodes
-    out = []
-    for _ in range(n):
-        amps = rng.uniform(-1.0, 1.0, size=3)
-        rates = rng.uniform(0.4, 2.5, size=3)
-        vals = sum(a * np.exp(-c * nodes**2) for a, c in zip(amps, rates))
-        out.append(RadialFunction(grid, vals))
-    return out
+    """Seeded family of smooth, decaying, even radial profiles.
+
+    Each profile draws three amplitudes in [-1, 1], then three rates in
+    [0.4, 2.5]; the family is sampled as one block."""
+    draws = rng.uniform([-1.0] * 3 + [0.4] * 3, [1.0] * 3 + [2.5] * 3, size=(n, 6))
+    r2 = grid.mesh.nodes**2
+    values = sum(draws[:, [i]] * np.exp(-draws[:, [3 + i]] * r2) for i in range(3))
+    return [RadialFunction(grid, row) for row in values]
 
 
 def random_ball_profiles(grid: RadialGrid, rng, n: int, k: int, s0: float = 0.55):
@@ -76,12 +75,9 @@ def random_ball_profiles(grid: RadialGrid, rng, n: int, k: int, s0: float = 0.55
     The bump power grows with k so grad^k stays continuous."""
     s = grid.mesh.nodes
     base = np.clip(1.0 - (s / s0) ** 2, 0.0, None) ** (k + 3)
-    out = []
-    for _ in range(n):
-        coeffs = rng.uniform(-1.0, 1.0, size=3)
-        poly = coeffs[0] + coeffs[1] * s**2 + coeffs[2] * s**4
-        out.append(RadialFunction(grid, base * poly, support_radius=s0))
-    return out
+    coeffs = rng.uniform(-1.0, 1.0, size=(n, 3))
+    values = base * (coeffs[:, [0]] + coeffs[:, [1]] * s**2 + coeffs[:, [2]] * s**4)
+    return [RadialFunction(grid, row, support_radius=s0) for row in values]
 
 
 # -- individual experiments ---------------------------------------------------
@@ -182,35 +178,39 @@ def run_conformal_identity(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_inequalities(cfg: ExperimentConfig) -> ExperimentReport:
+def _margin_summary(check: str, k: int, l: int, margins) -> tuple:
+    return (check, k, l, len(margins), float(np.min(margins)), float(np.median(margins)))
+
+
+def _inequality_margins(cfg: ExperimentConfig):
+    """For each k: its dimensions, the smooth family, and the poincare and
+    owen rows, with every family drawn from the config's seed in order."""
     rng = np.random.default_rng(cfg.seed)
-    rows = []
     n_prof = cfg.params["n_profiles"]
     for k in range(1, cfg.params["k_max"] + 1):
         dims = DimensionParams(k)
-        grid = _grid(cfg.params)
-        profiles = random_smooth_profiles(grid, rng, n_prof)
-        for l in range(k):
-            margins = [check_poincare_chain(u, k, l, dims) for u in profiles]
-            rows.append(
-                ("poincare", k, l, len(margins), float(np.min(margins)), float(np.median(margins)))
-            )
+        profiles = random_smooth_profiles(_grid(cfg.params), rng, n_prof)
+        rows = [
+            _margin_summary("poincare", k, l, margins)
+            for l, margins in enumerate(poincare_margins(profiles, k, dims))
+        ]
         ball = RadialGrid.euclidean_ball(
             s_max=1.0, n_elements=cfg.params["n_elements"], degree=cfg.params["poly_degree"]
         )
         ball_profiles = random_ball_profiles(ball, rng, n_prof // 2, k)
-        owen_margins = [check_owen(u, k) for u in ball_profiles]
-        rows.append(
-            ("owen", k, 0, len(owen_margins), float(np.min(owen_margins)), float(np.median(owen_margins)))
-        )
-        op = gjms_assemble(dims, grid)
+        rows.append(_margin_summary("owen", k, 0, owen_margins(ball_profiles, k)))
+        yield dims, profiles, rows
+
+
+def run_inequalities(cfg: ExperimentConfig) -> ExperimentReport:
+    rows = []
+    delta = cfg.params["delta"]
+    for dims, profiles, margin_rows in _inequality_margins(cfg):
+        rows += margin_rows
         fitted = profiles[:20]
-        calib = fit_linearized_calibration(
-            fitted, cfg.params["delta"], dims, operator=op
-        )
-        rows.append(
-            ("linearized_calibration", k, 0, len(fitted), calib, cfg.params["delta"])
-        )
+        op = gjms_assemble(dims, fitted[0].grid)
+        calib = fit_linearized_calibration(fitted, delta, dims, operator=op)
+        rows.append(("linearized_calibration", dims.k, 0, len(fitted), calib, delta))
     suite = scalar_inequality_suite(seed=cfg.seed)
     rows.append(
         (
@@ -469,11 +469,11 @@ def _inequalities_study(cfg: ExperimentConfig):
     base = cfg.params["n_elements"]
     rows, signs = [], []
     for n_el in (base, 2 * base, 4 * base):
-        rep = run_inequalities(_at_level(cfg, n_elements=n_el, n_profiles=20))
+        level = _inequality_margins(_at_level(cfg, n_elements=n_el, n_profiles=20))
         signs.append({
             (r[0], r[1], r[2]): math.copysign(1.0, r[4])
-            for r in rep.rows
-            if r[0] in ("poincare", "owen")
+            for _dims, _profiles, margin_rows in level
+            for r in margin_rows
         })
         for (check, k, l), sign in signs[-1].items():
             rows.append((f"{check}_k{k}_l{l}", n_el, sign, True))

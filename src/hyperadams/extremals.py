@@ -98,6 +98,8 @@ class MoserProfile:
     r_inner: float = field(init=False)  # 1/sqrt(m), in v-coordinates
 
     def __post_init__(self):
+        if self.m < 2:
+            raise DomainError("need m >= 2")
         L = self.log_m = math.log(self.m)
         M = self.M = moser_normalizer(self.k)
         self.peak = math.sqrt(L / (2.0 * M))

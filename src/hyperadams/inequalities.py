@@ -22,13 +22,8 @@ from .ball import (
     sphere_area,
     tail_fraction,
 )
-from .errors import DomainError
-from .operators import (
-    GJMSOperator,
-    euclidean_gradk_energy,
-    gjms_assemble,
-    iterated_gradient_energy,
-)
+from .errors import DomainError, NonFiniteSampleError
+from .operators import GJMSOperator, gjms_assemble, gradient_energies, warn_if_truncated
 
 EXP_OVERFLOW_LIMIT = 700.0  # natural-log scale of the double range
 
@@ -155,6 +150,40 @@ def adams_functional(u: RadialFunction, beta: float, dims: DimensionParams) -> f
     return integrate_radial(g, dims)
 
 
+def _family(profiles) -> tuple:
+    """(grid, (P, n) block of values) of a profile family on one grid."""
+    grid = profiles[0].grid
+    if any(u.grid is not grid for u in profiles):
+        raise DomainError("a profile family lives on one grid")
+    return grid, np.array([u.values for u in profiles])
+
+
+def _integrals(grid, block: np.ndarray, dims: DimensionParams, measure: str = "hyperbolic"):
+    """integrate_radial of each row of a (P, n) block, one dot per row."""
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteSampleError("radial samples must be finite")
+    if measure == "hyperbolic":
+        density = grid.hyperbolic_density(dims)
+    else:
+        density = grid.euclidean_density(dims)
+    return np.array([grid.mesh.integrate(row) for row in block * density])
+
+
+def poincare_margins(profiles, k: int, dims: DimensionParams) -> np.ndarray:
+    """Margins of the higher-order Poincare inequality of order k against every
+    l < k, for a family on one grid: row l holds
+    int|grad^k u|^2 - ((N-1)/2)^{2(k-l)} int|grad^l u|^2 for each profile,
+    all from one energy chain."""
+    if k < 1:
+        raise DomainError("need k >= 1")
+    grid, values = _family(profiles)
+    energies = gradient_energies(values, grid, dims, k)
+    return np.array([
+        energies[:, k] - ((dims.N - 1) / 2.0) ** (2 * (k - l)) * energies[:, l]
+        for l in range(k)
+    ])
+
+
 def check_poincare_chain(
     u: RadialFunction, k: int, l: int, dims: DimensionParams
 ) -> float:
@@ -165,38 +194,41 @@ def check_poincare_chain(
     """
     if not 0 <= l < k:
         raise DomainError("need 0 <= l < k")
-    const = ((dims.N - 1) / 2.0) ** (2 * (k - l))
-    e_k = iterated_gradient_energy(u, dims, k)
-    e_l = iterated_gradient_energy(u, dims, l)
-    return e_k - const * e_l
+    return float(poincare_margins([u], k, dims)[l, 0])
 
 
-def check_owen(u: RadialFunction, k: int) -> float:
-    """Margin of the boundary Hardy-Rellich inequality on the unit ball.
+def owen_margins(profiles, k: int) -> np.ndarray:
+    """Margins of the boundary Hardy-Rellich inequality on the unit ball.
 
-    Returns int|grad^k u|^2 dx - A(k) int u^2/(1-s)^{2k} dx for a profile
-    compactly supported inside the ball; the weight integral is flagged if
-    the support reaches the boundary.
+    Returns int|grad^k u|^2 dx - A(k) int u^2/(1-s)^{2k} dx for each profile
+    of a family compactly supported inside the ball; the weight integral is
+    refused if any member's support reaches the boundary.
     """
-    grid = u.grid
+    grid, values = _family(profiles)
     s = grid.euclidean_nodes
     if np.max(s) > 1.0 + 1e-12:
         raise DomainError("Owen margin is for profiles on the unit ball")
     dims = DimensionParams(k)
-    vmax = np.max(np.abs(u.values))
-    boundary_zone = s > 1.0 - 1e-9
-    if vmax > 0 and np.any(np.abs(u.values[boundary_zone]) > 1e-12 * vmax):
+    vmax = np.max(np.abs(values), axis=1)
+    near_boundary = np.abs(values[:, s > 1.0 - 1e-9]) > 1e-12 * vmax[:, None]
+    if np.any((vmax > 0) & np.any(near_boundary, axis=1)):
         raise DomainError(
             "support touches the boundary: the distance-weight integral "
             "is potentially divergent"
         )
-    lhs = euclidean_gradk_energy(u, dims)
+    warn_if_truncated(values)
+    lhs = gradient_energies(values, grid, dims, k, "euclidean")[:, k]
     weight = np.zeros_like(s)
     interior = s < 1.0
     weight[interior] = (1.0 - s[interior]) ** (-2 * k)
-    weighted = RadialFunction(grid, u.values**2 * weight)
-    w_int = integrate_radial(weighted, dims, measure="euclidean")
+    w_int = _integrals(grid, values**2 * weight, dims, measure="euclidean")
     return lhs - owen_constant(k) * w_int
+
+
+def check_owen(u: RadialFunction, k: int) -> float:
+    """Margin of the boundary Hardy-Rellich inequality for one profile (see
+    ``owen_margins``)."""
+    return float(owen_margins([u], k)[0])
 
 
 def scalar_inequality_suite(n_grid: int = 100_001, seed: int = 0) -> dict:
@@ -239,6 +271,39 @@ def scalar_inequality_suite(n_grid: int = 100_001, seed: int = 0) -> dict:
     }
 
 
+def linearized_margins(
+    profiles,
+    delta: float,
+    dims: DimensionParams,
+    calibration: float,
+    operator: GJMSOperator | None = None,
+) -> np.ndarray:
+    """Margins of the linearized exponential-moment bound for a family on one
+    grid.
+
+    Each is C(delta) + energy/(beta0 delta) - log int (e^{2u} - 2u - 1) dv_g.
+    C(delta) is an empirical calibration (the theory's constant is
+    non-constructive); the margin's boundedness across a family is the
+    testable content.  A zero profile makes the log -inf and its margin
+    +inf (trivially satisfied); a profile with 2u beyond the double range
+    gets -inf.
+    """
+    if not 0 < delta < 1:
+        raise DomainError("delta must lie in (0, 1)")
+    grid, values = _family(profiles)
+    if operator is None:
+        operator = gjms_assemble(dims, grid)
+    energy = operator.quadratic_form(values)
+    expo = 2.0 * values
+    overflow = np.max(expo, axis=1) > EXP_OVERFLOW_LIMIT
+    expo[overflow] = 0.0  # their margin is -inf whatever the integral
+    moments = _integrals(grid, np.expm1(expo) - expo, dims)
+    lhs = np.array([math.log(val) if val > 0 else -math.inf for val in moments])
+    margins = calibration + energy / (beta0(dims.k, dims.N) * delta) - lhs
+    margins[overflow] = -math.inf
+    return margins
+
+
 def linearized_adams_bound(
     u: RadialFunction,
     delta: float,
@@ -246,26 +311,9 @@ def linearized_adams_bound(
     calibration: float,
     operator: GJMSOperator | None = None,
 ) -> float:
-    """Margin of the linearized exponential-moment bound.
-
-    Returns C(delta) + energy/(beta0 delta) - log int (e^{2u} - 2u - 1) dv_g.
-    C(delta) is an empirical calibration (the theory's constant is
-    non-constructive); the margin's boundedness across a family is the
-    testable content.  A zero profile makes the log -inf and the margin
-    +inf (trivially satisfied).
-    """
-    if not 0 < delta < 1:
-        raise DomainError("delta must lie in (0, 1)")
-    if operator is None:
-        operator = gjms_assemble(dims, u.grid)
-    b0 = beta0(dims.k, dims.N)
-    energy = operator.quadratic_form(u)
-    expo = 2.0 * u.values
-    if np.max(expo) > EXP_OVERFLOW_LIMIT:
-        return -math.inf
-    val = integrate_radial(RadialFunction(u.grid, np.expm1(expo) - expo), dims)
-    lhs = math.log(val) if val > 0 else -math.inf
-    return calibration + energy / (b0 * delta) - lhs
+    """Margin of the linearized exponential-moment bound for one profile (see
+    ``linearized_margins``)."""
+    return float(linearized_margins([u], delta, dims, calibration, operator)[0])
 
 
 def fit_linearized_calibration(
@@ -273,10 +321,8 @@ def fit_linearized_calibration(
 ) -> float:
     """Empirical C(delta): sup over the family of log-moment minus the
     energy term (the fitted constant that makes every margin nonnegative)."""
-    worst = -math.inf
-    for u in profiles:
-        margin = linearized_adams_bound(u, delta, dims, 0.0, operator=operator)
-        if margin == math.inf:
-            continue
-        worst = max(worst, -margin)
-    return worst
+    profiles = list(profiles)
+    if not profiles:
+        return -math.inf
+    margins = linearized_margins(profiles, delta, dims, 0.0, operator).tolist()
+    return max([-math.inf] + [-margin for margin in margins if margin != math.inf])

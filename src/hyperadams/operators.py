@@ -67,6 +67,22 @@ class DiscreteOperator:
         return self.apply(u)
 
 
+def _dots(x, y):
+    """np.dot(x, y), or one np.dot per column of an (n, P) block y (x a
+    vector or a block of the same shape).
+
+    Each dot runs on contiguous rows, so a block gives bitwise the values of
+    its single-profile calls; a strided dot, gemv or einsum would reduce in
+    another order.
+    """
+    if y.ndim == 1:
+        return float(np.dot(x, y))
+    rows = np.ascontiguousarray(y.T)
+    if x.ndim == 1:
+        return np.array([np.dot(x, row) for row in rows])
+    return np.array([np.dot(a, b) for a, b in zip(np.ascontiguousarray(x.T), rows)])
+
+
 @dataclass
 class GJMSOperator:
     """Critical GJMS product P_k = (A + sigma_k) ... (A + sigma_1), A = M^{-1} K,
@@ -74,7 +90,8 @@ class GJMSOperator:
 
     Every use of P_k goes through this object: pointwise applications, the
     quadratic form, and the energy matrix omega M P_k that the PDE solver
-    factorizes.
+    factorizes.  ``apply`` and ``quadratic_form`` take one profile (n,) or a
+    family as a (P, n) block of rows.
     """
 
     stiffness: sp.csr_matrix
@@ -82,28 +99,34 @@ class GJMSOperator:
     shifts: tuple
     dims: DimensionParams
 
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
     def factor_matrix(self, j: int) -> sp.csr_matrix:
-        """B_j = K + sigma_j M, the M-weighted j-th factor (symmetric)."""
-        return (self.stiffness + self.shifts[j] * sp.diags(self.mass)).tocsr()
+        """B_j = K + sigma_j M, the M-weighted j-th factor (symmetric), built on
+        first use and kept: the form needs one factor, the energy matrix all."""
+        if j not in self._factors:
+            self._factors[j] = (self.stiffness + self.shifts[j] * sp.diags(self.mass)).tocsr()
+        return self._factors[j]
 
     def apply(self, u, js=None) -> np.ndarray:
         """Apply (A + sigma_j) for j in js (default: all, i.e. P_k u) pointwise."""
-        z = _values(u).copy()
+        z = _values(u).T.copy()  # a block runs as one column per profile
+        mass = self.mass if z.ndim == 1 else self.mass[:, None]
         for j in range(len(self.shifts)) if js is None else js:
-            z = (self.stiffness @ z) / self.mass + self.shifts[j] * z
-        return z
+            z = (self.stiffness @ z) / mass + self.shifts[j] * z
+        return z.T
 
-    def quadratic_form(self, u, w=None) -> float:
-        """int (P_k u) w dv_g, exactly symmetric in (u, w)."""
+    def quadratic_form(self, u, w=None):
+        """int (P_k u) w dv_g, exactly symmetric in (u, w); one value per row
+        of a block."""
         uv = _values(u)
         wv = _values(w) if w is not None else uv
         k = len(self.shifts)
         a = (k - 1) // 2
         b = k - 1 - a
-        y = self.apply(uv, range(a))
-        z = self.apply(wv, range(a + 1, a + 1 + b))
-        Bmid = self.factor_matrix(a)
-        return self.dims.omega_Nm1 * float(y @ (Bmid @ z))
+        y = self.apply(uv, range(a)).T
+        z = self.apply(wv, range(a + 1, a + 1 + b)).T
+        return self.dims.omega_Nm1 * _dots(y, self.factor_matrix(a) @ z)
 
     @cached_property
     def energy_matrix(self) -> sp.csr_matrix:
@@ -222,45 +245,62 @@ def _clamped(value: float, scale: float, what: str, notes: list) -> float:
     return value
 
 
+def warn_if_truncated(values, stacklevel: int = 2) -> None:
+    """Warn if a profile, or any row of a (P, n) block, does not vanish at the
+    last node: its flat energy is then truncated."""
+    vmax = np.max(np.abs(values), axis=-1)
+    if np.any((vmax > 0) & (np.abs(values[..., -1]) > 1e-12 * vmax)):
+        warnings.warn(
+            "profile support touches the quadrature boundary; "
+            "the flat energy is truncated",
+            stacklevel=stacklevel + 1,
+        )
+
+
+def gradient_energies(values, grid: RadialGrid, dims: DimensionParams, m: int,
+                      metric: str = "hyperbolic") -> np.ndarray:
+    """omega int |grad^j v|^2 for j = 0..m from the radial pair (K, M) of the
+    metric, for one profile (n,) -> (m+1,) or each row of a (P, n) block ->
+    (P, m+1).
+
+    One chain z_{i+1} = M^{-1} K z_i serves every order: order 2i is
+    ||z_i||_M^2 and order 2i+1 the K-form of z_i, whose product K z_i the
+    chain reuses for its next step.
+    """
+    K, M = _laplacian_parts(dims, grid, metric)
+    z = np.asarray(values, dtype=float).T  # a block runs as one column per profile
+    mass = M if z.ndim == 1 else M[:, None]
+    energies = []
+    for order in range(m + 1):
+        if order % 2 == 0:
+            energies.append(_dots(M, z * z))
+        else:
+            Kz = K @ z
+            energies.append(_dots(z, Kz))
+            z = Kz / mass
+    return dims.omega_Nm1 * np.array(energies).T
+
+
 def euclidean_gradk_energy(v: RadialFunction, dims: DimensionParams) -> float:
     """Flat k-th order energy int |grad^k v|^2 dx for a radial profile.
 
     grad^k is Delta^{k/2} for even k and grad Delta^{(k-1)/2} for odd k;
     both routes reduce to mass/stiffness forms of the flat radial Laplacian.
     """
-    grid, k = v.grid, dims.k
-    vals = v.values
-    vmax = np.max(np.abs(vals))
-    if vmax > 0 and abs(vals[-1]) > 1e-12 * vmax:
-        warnings.warn(
-            "profile support touches the quadrature boundary; "
-            "the flat energy is truncated",
-            stacklevel=2,
-        )
-    return _gradient_energy(vals, *_laplacian_parts(dims, grid, "euclidean"), k, dims)
+    warn_if_truncated(v.values, stacklevel=2)
+    return float(gradient_energies(v.values, v.grid, dims, dims.k, "euclidean")[-1])
 
 
 def iterated_gradient_energy(u: RadialFunction, dims: DimensionParams, m: int) -> float:
     """int |grad_g^m u|^2_g dv_g for a radial profile (m >= 0)."""
     if m < 0:
         raise DomainError("gradient order must be nonnegative")
-    return _gradient_energy(u.values, *_laplacian_parts(dims, u.grid, "hyperbolic"), m, dims)
-
-
-def _gradient_energy(vals, K, M, m: int, dims: DimensionParams) -> float:
-    """omega int |grad^m v|^2 from the radial pair (K, M): ||(M^{-1}K)^{m/2} v||_M^2
-    for even m, the K-form of (M^{-1}K)^{(m-1)/2} v for odd m."""
-    z = vals
-    for _ in range(m // 2):
-        z = (K @ z) / M
-    if m % 2 == 0:
-        return dims.omega_Nm1 * float(np.dot(M, z * z))
-    return dims.omega_Nm1 * float(z @ (K @ z))
+    return float(gradient_energies(u.values, u.grid, dims, m)[-1])
 
 
 def sobolev_energy(u: RadialFunction, dims: DimensionParams) -> float:
     """Full squared Sobolev norm: sum of the gradient energies up to order k."""
-    return sum(iterated_gradient_energy(u, dims, m) for m in range(dims.k + 1))
+    return sum(gradient_energies(u.values, u.grid, dims, dims.k).tolist())
 
 
 def gjms_energy(

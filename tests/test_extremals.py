@@ -8,6 +8,7 @@ from hyperadams.errors import DomainError, ResolutionError
 from hyperadams.extremals import (
     blowup_experiment,
     blowup_slopes,
+    MoserProfile,
     build_moser_profile,
     lp_norm_hyperbolic,
     moser_energy,
@@ -77,6 +78,12 @@ class TestProfileConstruction:
     def test_m_domain(self):
         with pytest.raises(DomainError):
             build_moser_profile(1, 1, moser_hyperbolic_grid(100, 1))
+
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_profile_checks_its_domain(self, m):
+        # the constructor itself refuses m < 2, before any log m is taken
+        with pytest.raises(DomainError, match="m >= 2"):
+            MoserProfile(m, 1)
 
     def test_geodesic_grid_required(self):
         flat = RadialGrid.euclidean_ball(s_max=1.0, n_elements=8, degree=4)

@@ -16,8 +16,11 @@ from hyperadams.inequalities import (
     linearized_adams_bound,
     liu_constant,
     moser_alpha,
+    linearized_margins,
     moser_normalizer,
     owen_constant,
+    owen_margins,
+    poincare_margins,
     scalar_inequality_suite,
 )
 from hyperadams.operators import gjms_assemble
@@ -148,6 +151,71 @@ class TestPoincareChain:
         u = RadialFunction(geo_grid, np.zeros(geo_grid.n_nodes))
         with pytest.raises(DomainError):
             check_poincare_chain(u, 1, 1, dims1)
+
+
+class TestFamilyChecks:
+    """The family functions give bitwise the per-profile values, and keep
+    every per-profile check."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_poincare_family_is_bitwise_per_profile(self, k):
+        dims = DimensionParams(k)
+        grid = RadialGrid.geodesic(r_max=9.0, n_elements=16, degree=6, grading=2.0)
+        profiles = random_smooth_profiles(grid, np.random.default_rng(k), 50)
+        margins = poincare_margins(profiles, k, dims)
+        assert margins.shape == (k, 50)
+        for l in range(k):
+            single = [check_poincare_chain(u, k, l, dims) for u in profiles]
+            assert np.array_equal(margins[l], single)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_owen_family_is_bitwise_per_profile(self, k, ball_grid):
+        profiles = random_ball_profiles(ball_grid, np.random.default_rng(k), 50, k)
+        single = [check_owen(u, k) for u in profiles]
+        assert np.array_equal(owen_margins(profiles, k), single)
+
+    def test_families_sample_as_the_per_profile_loop(self, geo_grid, ball_grid):
+        # the block sampling draws and computes exactly what one draw per
+        # profile did, so seeded sweeps keep their values
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        r, s = geo_grid.mesh.nodes, ball_grid.mesh.nodes
+        smooth = random_smooth_profiles(geo_grid, rng, 40)
+        ball = random_ball_profiles(ball_grid, rng, 20, 2)
+        for u in smooth:
+            amps, rates = ref.uniform(-1.0, 1.0, size=3), ref.uniform(0.4, 2.5, size=3)
+            assert np.array_equal(u.values, sum(a * np.exp(-c * r**2) for a, c in zip(amps, rates)))
+        bump = np.clip(1.0 - (s / 0.55) ** 2, 0.0, None) ** 5
+        for u in ball:
+            c = ref.uniform(-1.0, 1.0, size=3)
+            assert np.array_equal(u.values, bump * (c[0] + c[1] * s**2 + c[2] * s**4))
+        assert rng.random() == ref.random()
+
+    def test_owen_family_refuses_one_boundary_member(self, ball_grid):
+        good = random_ball_profiles(ball_grid, np.random.default_rng(0), 4, 1)
+        bad = RadialFunction(ball_grid, np.ones(ball_grid.n_nodes))
+        with pytest.raises(DomainError, match="boundary"):
+            owen_margins(good[:2] + [bad] + good[2:], 1)
+
+    def test_family_on_one_grid(self, geo_grid, dims1):
+        other = RadialGrid.geodesic(r_max=9.0, n_elements=20, degree=6, grading=2.5)
+        family = [RadialFunction(g, np.zeros(g.n_nodes)) for g in (geo_grid, other)]
+        with pytest.raises(DomainError, match="one grid"):
+            poincare_margins(family, 1, dims1)
+
+    def test_overflowing_member_makes_calibration_infinite(self, geo_grid, dims1):
+        base = RadialFunction.from_callable(geo_grid, lambda r: np.exp(-(r**2)))
+        family = [base.scaled(t) for t in (0.5, 1.0, 400.0)]  # 2u reaches 800
+        assert linearized_margins(family, 0.9, dims1, 0.0)[2] == -math.inf
+        assert fit_linearized_calibration(family, 0.9, dims1) == math.inf
+
+    def test_zero_member_leaves_calibration(self, dims1):
+        grid = RadialGrid.geodesic(r_max=9.0, n_elements=20, degree=6, grading=2.0)
+        base = RadialFunction.from_callable(grid, lambda r: np.exp(-(r**2)))
+        family = [base.scaled(0.5), base.scaled(1.0)]
+        zero = RadialFunction(grid, np.zeros(grid.n_nodes))
+        calib = fit_linearized_calibration(family, 0.9, dims1)
+        assert calib == fit_linearized_calibration([family[0], zero, family[1]], 0.9, dims1)
+        assert calib == 1.4084148500644436
 
 
 class TestOwen:

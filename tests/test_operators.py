@@ -202,6 +202,30 @@ class TestFactoredOperator:
         assert np.all(np.abs(got - via_matrix)[mask] <= 1e-12 * scale[mask])
 
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_block_is_bitwise_per_row(self, k, geo_grid, rng):
+        # a (P, n) block runs one sparse product per factor for all rows and
+        # one dot per row: every value is bitwise its single-profile call
+        P = gjms_assemble(DimensionParams(k), geo_grid)
+        r = geo_grid.geodesic_nodes
+        block = np.array([
+            sum(a * np.exp(-c * r**2) for a, c in zip(rng.uniform(-1, 1, 3), rng.uniform(0.5, 2.5, 3)))
+            for _ in range(30)
+        ])
+        forms = P.quadratic_form(block)
+        assert forms.shape == (30,)
+        assert np.array_equal(forms, [P.quadratic_form(u) for u in block])
+        assert np.array_equal(P.apply(block), [P.apply(u) for u in block])
+        cross = P.quadratic_form(block, block[::-1])
+        assert np.array_equal(cross, [P.quadratic_form(u, w) for u, w in zip(block, block[::-1])])
+
+    def test_factors_built_once(self, geo_grid):
+        P = gjms_assemble(DimensionParams(3), geo_grid)
+        B = P.factor_matrix(1)
+        assert P.factor_matrix(1) is B
+        assert B.shape == (geo_grid.n_nodes,) * 2
+
+
 class TestBandedness:
     def test_bandwidth_grows_with_order(self, geo_grid):
         dims1, dims2 = DimensionParams(1), DimensionParams(2)
@@ -285,6 +309,28 @@ class TestEnergies:
                 for k in range(l + 1, 4):
                     lhs = base ** (k - l) * energies[l]
                     assert lhs <= energies[k] * (1 + 1e-8) + 1e-12
+
+    def test_one_chain_gives_every_order(self, dims3, geo_grid, rng):
+        from hyperadams.operators import _laplacian_parts, gradient_energies
+
+        def one_order(vals, m):  # the per-order loop the chain replaced
+            K, M = _laplacian_parts(dims3, geo_grid, "hyperbolic")
+            z = vals
+            for _ in range(m // 2):
+                z = (K @ z) / M
+            if m % 2 == 0:
+                return dims3.omega_Nm1 * float(np.dot(M, z * z))
+            return dims3.omega_Nm1 * float(z @ (K @ z))
+
+        r = geo_grid.geodesic_nodes
+        block = np.array([np.exp(-c * r**2) for c in rng.uniform(0.5, 2.5, 5)])
+        energies = gradient_energies(block, geo_grid, dims3, 3)
+        assert energies.shape == (5, 4)
+        for u, row in zip(block, energies):
+            assert np.array_equal(row, [one_order(u, m) for m in range(4)])
+            single = RadialFunction(geo_grid, u)
+            assert [iterated_gradient_energy(single, dims3, m) for m in range(4)] == row.tolist()
+            assert sobolev_energy(single, dims3) == sum(row.tolist())
 
     def test_truncation_warning(self, dims1):
         grid = RadialGrid.euclidean_ball(s_max=1.0, n_elements=10, degree=5)
