@@ -301,7 +301,9 @@ class RadialFunction:
 
     Radial functions are even in the radius; the element machinery imposes
     no artificial condition at the axis (the natural weighted-Neumann closure
-    is exact for even profiles).
+    is exact for even profiles).  ``values`` may also be a (P, n) block, a
+    family of P profiles on the grid, one per row; ``integrate_radial`` then
+    gives one integral per row.
     """
 
     grid: RadialGrid
@@ -310,7 +312,7 @@ class RadialFunction:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_nodes,):
+        if vals.ndim > 2 or vals.shape[-1:] != (self.grid.n_nodes,):
             raise ValueError(
                 f"expected {self.grid.n_nodes} samples, got shape {vals.shape}"
             )
@@ -351,8 +353,9 @@ def integrate_radial(
     dims: DimensionParams,
     measure: str = "hyperbolic",
     r_max: float | None = None,
-) -> float:
-    """Quadrature of ``int f dv_g`` (or the flat-measure variant).
+):
+    """Quadrature of ``int f dv_g`` (or the flat-measure variant); an array
+    of one integral per profile for a family.
 
     ``r_max`` truncates the integral at an element edge of the grid (the cut
     must coincide with an edge; arbitrary cuts would break the quadrature).

@@ -22,7 +22,7 @@ from .ball import (
     sphere_area,
     tail_fraction,
 )
-from .errors import DomainError, NonFiniteSampleError
+from .errors import DomainError
 from .operators import GJMSOperator, gjms_assemble, gradient_energies, warn_if_truncated
 
 EXP_OVERFLOW_LIMIT = 700.0  # natural-log scale of the double range
@@ -158,17 +158,6 @@ def _family(profiles) -> tuple:
     return grid, np.array([u.values for u in profiles])
 
 
-def _integrals(grid, block: np.ndarray, dims: DimensionParams, measure: str = "hyperbolic"):
-    """integrate_radial of each row of a (P, n) block, one dot per row."""
-    if not np.all(np.isfinite(block)):
-        raise NonFiniteSampleError("radial samples must be finite")
-    if measure == "hyperbolic":
-        density = grid.hyperbolic_density(dims)
-    else:
-        density = grid.euclidean_density(dims)
-    return np.array([grid.mesh.integrate(row) for row in block * density])
-
-
 def poincare_margins(profiles, k: int, dims: DimensionParams) -> np.ndarray:
     """Margins of the higher-order Poincare inequality of order k against every
     l < k, for a family on one grid: row l holds
@@ -221,7 +210,8 @@ def owen_margins(profiles, k: int) -> np.ndarray:
     weight = np.zeros_like(s)
     interior = s < 1.0
     weight[interior] = (1.0 - s[interior]) ** (-2 * k)
-    w_int = _integrals(grid, values**2 * weight, dims, measure="euclidean")
+    weighted = RadialFunction(grid, values**2 * weight)
+    w_int = integrate_radial(weighted, dims, measure="euclidean")
     return lhs - owen_constant(k) * w_int
 
 
@@ -297,7 +287,7 @@ def linearized_margins(
     expo = 2.0 * values
     overflow = np.max(expo, axis=1) > EXP_OVERFLOW_LIMIT
     expo[overflow] = 0.0  # their margin is -inf whatever the integral
-    moments = _integrals(grid, np.expm1(expo) - expo, dims)
+    moments = integrate_radial(RadialFunction(grid, np.expm1(expo) - expo), dims)
     lhs = np.array([math.log(val) if val > 0 else -math.inf for val in moments])
     margins = calibration + energy / (beta0(dims.k, dims.N) * delta) - lhs
     margins[overflow] = -math.inf

@@ -33,6 +33,7 @@ __all__ = [
     "barycentric_weights",
     "differentiation_matrix",
     "Mesh1D",
+    "column_dots",
     "graded_edges",
     "geometric_edges",
 ]
@@ -152,6 +153,22 @@ def geometric_edges(
     return np.array(edges)
 
 
+def column_dots(x, y):
+    """np.dot(x, y), or one np.dot per column of an (n, P) block y (x a
+    vector or a block of the same shape).
+
+    Each dot runs on contiguous rows, so a block gives bitwise the values of
+    its single-profile calls; a strided dot, gemv or einsum would reduce in
+    another order.
+    """
+    if y.ndim == 1:
+        return float(np.dot(x, y))
+    rows = np.ascontiguousarray(y.T)
+    if x.ndim == 1:
+        return np.array([np.dot(x, row) for row in rows])
+    return np.array([np.dot(a, b) for a, b in zip(np.ascontiguousarray(x.T), rows)])
+
+
 @dataclass(frozen=True)
 class Mesh1D:
     """Composite Gauss-Lobatto mesh on [edges[0], edges[-1]].
@@ -193,18 +210,22 @@ class Mesh1D:
     def n_nodes(self) -> int:
         return self.nodes.size
 
-    def integrate(self, values: np.ndarray, x_max: float | None = None) -> float:
-        """Quadrature of nodal data, optionally truncated at an element edge."""
+    def integrate(self, values: np.ndarray, x_max: float | None = None):
+        """Quadrature of nodal data, optionally truncated at an element edge.
+
+        A (P, n) block gives one value per row (see ``column_dots``).
+        """
         values = np.asarray(values, dtype=float)
-        if x_max is None:
-            return float(np.dot(self.quad_w, values))
-        idx = int(np.argmin(np.abs(self.edges - x_max)))
-        if abs(self.edges[idx] - x_max) > 1e-9 * max(1.0, abs(x_max)):
-            raise ValueError(
-                f"x_max={x_max} is not an element edge; nearest is {self.edges[idx]}"
-            )
-        stop = idx * self.p + 1
-        return float(np.dot(self._left_weights(idx), values[:stop]))
+        weights = self.quad_w
+        if x_max is not None:
+            idx = int(np.argmin(np.abs(self.edges - x_max)))
+            if abs(self.edges[idx] - x_max) > 1e-9 * max(1.0, abs(x_max)):
+                raise ValueError(
+                    f"x_max={x_max} is not an element edge; nearest is {self.edges[idx]}"
+                )
+            weights = self._left_weights(idx)
+            values = values[..., : weights.size]
+        return column_dots(weights, values.T)
 
     def _left_weights(self, edge_idx: int) -> np.ndarray:
         """Quadrature weights for [edges[0], edges[edge_idx]] only.

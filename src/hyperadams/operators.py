@@ -29,6 +29,7 @@ import scipy.sparse as sp
 
 from .ball import GEODESIC, DimensionParams, RadialFunction, RadialGrid
 from .errors import DiscretizationError, DomainError
+from .mesh import column_dots
 
 ENERGY_CLAMP_REL = 1e-12
 SCHEME_ORDER = 4  # conservative documented order for energy functionals
@@ -65,22 +66,6 @@ class DiscreteOperator:
 
     def __call__(self, u) -> np.ndarray:
         return self.apply(u)
-
-
-def _dots(x, y):
-    """np.dot(x, y), or one np.dot per column of an (n, P) block y (x a
-    vector or a block of the same shape).
-
-    Each dot runs on contiguous rows, so a block gives bitwise the values of
-    its single-profile calls; a strided dot, gemv or einsum would reduce in
-    another order.
-    """
-    if y.ndim == 1:
-        return float(np.dot(x, y))
-    rows = np.ascontiguousarray(y.T)
-    if x.ndim == 1:
-        return np.array([np.dot(x, row) for row in rows])
-    return np.array([np.dot(a, b) for a, b in zip(np.ascontiguousarray(x.T), rows)])
 
 
 @dataclass
@@ -126,7 +111,7 @@ class GJMSOperator:
         b = k - 1 - a
         y = self.apply(uv, range(a)).T
         z = self.apply(wv, range(a + 1, a + 1 + b)).T
-        return self.dims.omega_Nm1 * _dots(y, self.factor_matrix(a) @ z)
+        return self.dims.omega_Nm1 * column_dots(y, self.factor_matrix(a) @ z)
 
     @cached_property
     def energy_matrix(self) -> sp.csr_matrix:
@@ -245,15 +230,16 @@ def _clamped(value: float, scale: float, what: str, notes: list) -> float:
     return value
 
 
-def warn_if_truncated(values, stacklevel: int = 2) -> None:
-    """Warn if a profile, or any row of a (P, n) block, does not vanish at the
-    last node: its flat energy is then truncated."""
+def warn_if_truncated(values) -> None:
+    """Warn, at the caller of the energy or margin function that calls this,
+    if a profile, or any row of a (P, n) block, does not vanish at the last
+    node: its flat energy is then truncated."""
     vmax = np.max(np.abs(values), axis=-1)
     if np.any((vmax > 0) & (np.abs(values[..., -1]) > 1e-12 * vmax)):
         warnings.warn(
             "profile support touches the quadrature boundary; "
             "the flat energy is truncated",
-            stacklevel=stacklevel + 1,
+            stacklevel=3,
         )
 
 
@@ -273,10 +259,10 @@ def gradient_energies(values, grid: RadialGrid, dims: DimensionParams, m: int,
     energies = []
     for order in range(m + 1):
         if order % 2 == 0:
-            energies.append(_dots(M, z * z))
+            energies.append(column_dots(M, z * z))
         else:
             Kz = K @ z
-            energies.append(_dots(z, Kz))
+            energies.append(column_dots(z, Kz))
             z = Kz / mass
     return dims.omega_Nm1 * np.array(energies).T
 
@@ -287,7 +273,7 @@ def euclidean_gradk_energy(v: RadialFunction, dims: DimensionParams) -> float:
     grad^k is Delta^{k/2} for even k and grad Delta^{(k-1)/2} for odd k;
     both routes reduce to mass/stiffness forms of the flat radial Laplacian.
     """
-    warn_if_truncated(v.values, stacklevel=2)
+    warn_if_truncated(v.values)
     return float(gradient_energies(v.values, v.grid, dims, dims.k, "euclidean")[-1])
 
 

@@ -144,6 +144,27 @@ class TestIntegrateRadial:
         order = math.log2(errs[0] / errs[1])
         assert order > 3.5, f"observed order {order}"
 
+    @pytest.mark.parametrize("measure", ["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("r_max", [None, 2.0])
+    def test_family_is_bitwise_per_profile(self, dims2, rng, measure, r_max):
+        grid = RadialGrid.geodesic(
+            r_max=4.0, n_elements=10, degree=6, grading=1.0, forced_edges=(2.0,)
+        )
+        block = rng.standard_normal((7, grid.n_nodes))
+        got = integrate_radial(RadialFunction(grid, block), dims2, measure, r_max)
+        want = [integrate_radial(RadialFunction(grid, row), dims2, measure, r_max)
+                for row in block]
+        assert np.array_equal(got, want)
+
+    def test_family_checks_shape_and_measure(self, geo_grid, dims1):
+        with pytest.raises(ValueError, match="samples"):
+            RadialFunction(geo_grid, np.zeros((2, 3, geo_grid.n_nodes)))
+        with pytest.raises(ValueError, match="samples"):
+            RadialFunction(geo_grid, np.zeros((2, geo_grid.n_nodes + 1)))
+        family = RadialFunction(geo_grid, np.ones((2, geo_grid.n_nodes)))
+        with pytest.raises(ValueError, match="unknown measure"):
+            integrate_radial(family, dims1, measure="flat")
+
 
 class TestHyperbolicTranslate:
     def test_identity_translation(self, rng):

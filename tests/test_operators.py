@@ -248,8 +248,9 @@ class TestEnergies:
         grid = RadialGrid.euclidean_ball(s_max=1.0, n_elements=18, degree=7)
         s = grid.mesh.nodes
         v = RadialFunction(grid, np.exp(-8 * s**2))
-        with pytest.warns(UserWarning, match="support touches"):
+        with pytest.warns(UserWarning, match="support touches") as record:
             energy = euclidean_gradk_energy(v, dims1)
+        assert record[0].filename == __file__  # reported at the caller
         D = grid.mesh.deriv_matrix()
         deriv = D @ v.values
         oracle = grid.mesh.integrate(2 * np.pi * s * deriv**2)
