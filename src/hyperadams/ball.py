@@ -105,7 +105,8 @@ class RadialGrid:
     ``quad_weights`` integrate plain ``dr`` (or ``ds``) and are positive.
     Instances are immutable and all arrays are read-only, except
     ``operator_cache``: the Laplacian (K, M) pairs assembled on this grid,
-    keyed by (metric, N) and filled by ``hyperadams.operators``.
+    keyed by (metric, N) and filled by ``hyperadams.operators``.  The
+    hyperbolic density of each dimension is formed once and kept.
     """
 
     def __init__(self, mesh: Mesh1D, coordinate: str = GEODESIC):
@@ -115,6 +116,7 @@ class RadialGrid:
         self.coordinate = coordinate
         self.R_max = float(mesh.edges[-1])
         self.operator_cache: dict = {}
+        self._densities: dict = {}
         if coordinate == GEODESIC:
             self._r = mesh.nodes
             s, oms = geodesic_to_euclidean(mesh.nodes, complement=True)
@@ -227,7 +229,15 @@ class RadialGrid:
     # -- measures ------------------------------------------------------------
 
     def hyperbolic_density(self, dims: DimensionParams) -> np.ndarray:
-        """Per-node density so that sum(quad_weights * density * f) = int f dv_g."""
+        """Per-node density so that sum(quad_weights * density * f) = int f dv_g
+        (read-only; formed on the first call for each dimension)."""
+        if dims.N not in self._densities:
+            density = self._hyperbolic_density(dims)
+            density.flags.writeable = False
+            self._densities[dims.N] = density
+        return self._densities[dims.N]
+
+    def _hyperbolic_density(self, dims: DimensionParams) -> np.ndarray:
         if self.coordinate == GEODESIC:
             return volume_weight(self._r, dims)
         if np.any(self._s >= 1.0):

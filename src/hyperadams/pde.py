@@ -11,21 +11,23 @@ Two regimes, matching the two existence results:
   set where the log argument is positive; the reported solution is the
   minimizer shifted by -(1/2) log of that argument.
 
-Both regimes run one damped Newton driver with Armijo backtracking on the
-sparse Hessian.  Minimization runs over radial grid functions vanishing at
-R_max (a conforming radial subspace); the solver is deterministic.
+Both regimes run one damped Newton driver with Armijo backtracking; each
+step solves the Hessian c H0 + diag (plus a rank-one term in log mode) by
+one scaled LU of its LAPACK band storage.  Minimization runs over radial
+grid functions vanishing at R_max (a conforming radial subspace); the
+solver is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solveh_banded
-from scipy.sparse.linalg import splu
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import solve_banded, solveh_banded
 
 from .ball import DimensionParams, RadialFunction, RadialGrid, volume_weight
 from .errors import (
@@ -198,6 +200,20 @@ class _Discretization:
         self.Q2 = problem.Q2.values[: self.n]
         self.grid = grid
 
+    @cached_property
+    def band(self) -> np.ndarray:
+        """H0 in LAPACK general band storage (2 bw + 1, n):
+        band[bw + i - j, j] = H0[i, j], built from H0 on first use."""
+        dia = self.H0.todia()
+        bw = int(np.max(np.abs(dia.offsets)))
+        band = np.zeros((2 * bw + 1, self.n))
+        band[bw - dia.offsets] = dia.data[:, : self.n]
+        return band
+
+    @property
+    def bandwidth(self) -> int:
+        return self.band.shape[0] // 2
+
     def interior(self, u) -> np.ndarray:
         """Interior node values of a full-grid function (arrays pass through)."""
         return u.values[: self.n] if isinstance(u, RadialFunction) else np.asarray(u)
@@ -248,11 +264,11 @@ def _J_value(u: np.ndarray, disc: _Discretization, strict: bool = False) -> floa
 def _convex_linearize(u: np.ndarray, disc: _Discretization) -> tuple:
     """Convex-mode residual P_k u + Q1 - Q2 e^{2u} (the dv_g-gradient of J,
     through raw factor applications), the gradient against the discrete
-    dv_g weights, and the sparse Hessian H0 - 2 diag(mass_dv Q2 e^{2u})."""
+    dv_g weights, and the Hessian H0 - 2 diag(mass_dv Q2 e^{2u}) as
+    (1, that diagonal)."""
     e2u = _exp2u(u, True)
     res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u
-    hess = disc.H0 + sp.diags(-2.0 * disc.mass_dv * disc.Q2 * e2u)
-    return res, disc.mass_dv * res, hess, None
+    return res, disc.mass_dv * res, (1.0, -2.0 * disc.mass_dv * disc.Q2 * e2u), None
 
 
 def gradient_J(
@@ -273,30 +289,37 @@ def hessian_action_J(
     if problem.mode != CONVEX:
         raise DomainError("hessian_action_J belongs to the convex mode")
     disc = disc or _Discretization(problem)
-    hess = _convex_linearize(disc.interior(u), disc)[2]
-    return (hess @ disc.interior(w)) / disc.mass_dv
+    c, diag = _convex_linearize(disc.interior(u), disc)[2]
+    wv = disc.interior(w)
+    return (c * (disc.H0 @ wv) + diag * wv) / disc.mass_dv
 
 
 def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray:
-    """Oracle path: solve (omega M P_k) u = rhs via a banded Cholesky solve."""
-    bw = disc.op.bandwidth
-    ab = np.zeros((bw + 1, disc.n))
-    for i in range(bw + 1):
-        ab[bw - i, i:] = disc.H0.diagonal(i)
-    return solveh_banded(ab, rhs_dv)
+    """Oracle path: solve (omega M P_k) u = rhs via a banded Cholesky solve
+    of the upper half of the band storage."""
+    return solveh_banded(disc.band[: disc.bandwidth + 1], rhs_dv)
 
 
-def _sparse_solve(A: sp.spmatrix, b: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Solve (A + w w^T) x = b by one sparse LU of the symmetrically scaled
-    A (the scaling keeps the axis rows harmless) and Sherman-Morrison for
-    the rank-one term."""
-    d = np.sqrt(np.abs(A.diagonal()))
+def _band_solve(
+    disc: _Discretization, c: float, diag: np.ndarray, b: np.ndarray, w: np.ndarray | None
+) -> np.ndarray:
+    """Solve (A + w w^T) x = b, where A is c H0 with its main diagonal
+    replaced by ``diag``, by one LU with partial pivoting of the
+    symmetrically scaled band of A (the scaling keeps the axis rows
+    harmless) and Sherman-Morrison for the rank-one term."""
+    bw = disc.bandwidth
+    ab = c * disc.band
+    ab[bw] = diag
+    d = np.sqrt(np.abs(diag))
     d[d == 0] = 1.0
-    scale = sp.diags(1.0 / d)
-    lu = splu((scale @ A @ scale).tocsc())
+    inv = 1.0 / d
+    ab *= sliding_window_view(np.pad(inv, bw), disc.n)  # row i of entry (i, j)
+    ab *= inv  # column j
+    rhs = b / d if w is None else np.stack([b / d, w / d], axis=1)
+    x = solve_banded((bw, bw), ab, rhs, overwrite_ab=True, check_finite=False)
     if w is None:
-        return lu.solve(b / d) / d
-    x, z = lu.solve(np.stack([b / d, w / d], axis=1)).T / d
+        return x / d
+    x, z = x.T / d
     return x - z * (w @ x) / (1.0 + w @ z)
 
 
@@ -314,16 +337,17 @@ def _damped_newton(
     ``objective(u)`` is inf where u is infeasible or overflows, so the line
     search halves such trial steps away.  ``linearize(u)`` returns the
     certificate residual (its dv_g-norm is compared with ``tol``), the
-    gradient, and the Hessian as a sparse matrix plus an optional rank-one
-    vector w (Hessian = A + w w^T).  A Levenberg shift lam diag(mass_dv) is
-    raised until the Newton step descends.  Five iterations without a 10 %
-    drop in the certificate end the solve as a stall at the numerical floor.
+    gradient, the Hessian c H0 + diag(v) as (c, v), and an optional rank-one
+    vector w (Hessian = c H0 + diag(v) + w w^T).  A Levenberg shift
+    lam diag(mass_dv) is raised until the Newton step descends.  Five
+    iterations without a 10 % drop in the certificate end the solve as a
+    stall at the numerical floor.
     """
     J_u = objective(u)
     history = [J_u]
     best, stalled, message = math.inf, 0, ""
     for it in range(1, max_iter + 2):
-        res, grad, A, w = linearize(u)
+        res, grad, (c, v), w = linearize(u)
         res_norm = disc.dv_norm(res)
         if res_norm <= tol:
             message = "converged"
@@ -339,10 +363,11 @@ def _damped_newton(
         else:
             stalled = 0
         best = min(best, res_norm)
-        diag_max = float(np.max(np.abs(A.diagonal())))
+        diag = c * disc.band[disc.bandwidth] + v
+        diag_max = float(np.max(np.abs(diag)))
         lam = 0.0
         for _ in range(12):
-            step = _sparse_solve(A + lam * sp.diags(disc.mass_dv), -grad, w)
+            step = _band_solve(disc, c, diag + lam * disc.mass_dv, -grad, w)
             slope = float(step @ grad)
             if slope < 0:
                 break
@@ -450,8 +475,7 @@ def solve_log_constrained(
         # stationarity of J_Q == shifted-equation residual; certify via that
         res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u / G
         grad = 2.0 * (disc.H0 @ u) + 2.0 * disc.mass_dv * disc.Q1 - 2.0 * q2e / G
-        hess = 2.0 * disc.H0 + sp.diags(-4.0 * q2e / G)
-        return res, grad, hess, 2.0 * q2e / G
+        return res, grad, (2.0, -4.0 * q2e / G), 2.0 * q2e / G
 
     result = _damped_newton(
         disc, _feasible_start(disc), lambda u: functional_JQ(u, problem, disc), linearize,

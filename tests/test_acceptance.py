@@ -26,6 +26,7 @@ from hyperadams.ball import (
 from hyperadams.experiments import (
     BUMPS,
     flat_oracle_energy,
+    flat_oracle_grid,
     random_ball_profiles,
     random_smooth_profiles,
 )
@@ -107,10 +108,11 @@ def test_criterion_2_conformal_identity():
     worst_final = 0.0
     worst_order = math.inf
     lines = []
+    oracle_grid = flat_oracle_grid(r_max)
     for k in (1, 2, 3):
         dims = DimensionParams(k)
         for name, fn in BUMPS.items():
-            oracle = flat_oracle_energy(k, fn, r_max)
+            oracle = flat_oracle_energy(k, fn, oracle_grid)
             errs = []
             for lvl in range(3):
                 n_el = base_levels[k] * 2**lvl

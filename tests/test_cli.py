@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hyperadams
 from hyperadams.cli import main
 from hyperadams.config import (
     ExperimentConfig,
@@ -323,29 +326,31 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize(
         "name",
-        [
-            "solve_pde_linear_k1.cfg",
-            "solve_pde_log_k1.cfg",
-            pytest.param(
-                "solve_pde_convex_k2.cfg",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="k=2 certification is roundoff-bound (ROADMAP "
-                    "direction B): level residuals 1.1e-10, 8.4e-10 and "
-                    "2.6e-7 at 12, 24 and 48 elements against tol 1e-8; the "
-                    "48-element solve stalls at its floor, exit 3",
-                ),
-            ),
-        ],
+        ["solve_pde_linear_k1.cfg", "solve_pde_log_k1.cfg", "solve_pde_convex_k2.cfg"],
     )
     def test_converge_solve_pde_exits_zero(self, name, tmp_path):
         cfg = os.path.join(CONFIG_DIR, name)
         assert main(["converge", cfg, "--out", str(tmp_path)]) == 0
 
     def test_converge_failure_names_the_failed_check(self, tmp_path, capsys):
-        # the k=2 convex study fails on its tolerance check, not on an order
-        cfg = os.path.join(CONFIG_DIR, "solve_pde_convex_k2.cfg")
+        # the k=2 convex study fails on its tolerance check, not on an order:
+        # from 48 elements up the k=2 levels stall at their roundoff floor
+        with open(os.path.join(CONFIG_DIR, "solve_pde_convex_k2.cfg")) as fh:
+            text = fh.read().replace("n_elements = 12", "n_elements = 48")
+        cfg = write(tmp_path, "solve_pde_convex_k2_48.cfg", text)
         assert main(["converge", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "residual is above tol" in err
         assert "order" not in err
+
+
+def test_cli_import_loads_no_sparse_linalg():
+    # the Newton steps solve on the band storage of H0, so starting the CLI
+    # pays for no sparse LU module
+    src = os.path.dirname(os.path.dirname(hyperadams.__file__))
+    code = "import sys, hyperadams.cli; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -16,6 +16,7 @@ from hyperadams.pde import (
     PDEProblem,
     _Discretization,
     _J_value,
+    _band_solve,
     banded_direct_solve,
     functional_J,
     functional_JQ,
@@ -184,6 +185,47 @@ class TestRestrictedOperator:
         assert got.shape == expected.shape
         assert abs(got - expected).max() <= 1e-12 * abs(expected).max()
         assert abs(_Discretization(prob).H0 - got).max() == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_band_storage_reproduces_energy_matrix(self, k, pde_grid):
+        disc = _Discretization(make_problem(pde_grid, k, lambda r: 0 * r, lambda r: 0 * r))
+        H = disc.H0.toarray()
+        bw = disc.bandwidth
+        assert bw == k * pde_grid.mesh.p
+        i, j = np.indices(H.shape)
+        inside = np.abs(i - j) <= bw
+        assert np.all(H[~inside] == 0.0)
+        assert np.array_equal(disc.band[(bw + i - j)[inside], j[inside]], H[inside])
+
+
+class TestBandStep:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mode", [CONVEX, LOG_CONSTRAINED])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_backward_error_against_dense_hessian(self, k, mode, lam, pde_grid):
+        # the scaled banded LU plus Sherman-Morrison solves the dense
+        # c H0 + diag + w w^T to a backward error at roundoff
+        sign = -1.0 if mode == CONVEX else 1.0
+        prob = make_problem(
+            pde_grid, k, lambda r: np.exp(-(r**2)), lambda r: sign * np.exp(-(r**2)), mode
+        )
+        disc = _Discretization(prob)
+        q2e = disc.mass_dv * disc.Q2 * np.exp(2.0 * np.exp(-disc.grid.geodesic_nodes[: disc.n]))
+        if mode == CONVEX:
+            c, v, w = 1.0, -2.0 * q2e, None
+        else:
+            G = float(np.sum(q2e))
+            c, v, w = 2.0, -4.0 * q2e / G, 2.0 * q2e / G
+        diag = c * disc.band[disc.bandwidth] + v
+        diag = diag + lam * np.max(np.abs(diag)) * disc.mass_dv
+        A = c * disc.H0.toarray()
+        A[np.diag_indices(disc.n)] = diag
+        if w is not None:
+            A += np.outer(w, w)
+        b = -disc.mass_dv * np.cos(disc.grid.geodesic_nodes[: disc.n])
+        x = _band_solve(disc, c, diag, b, w)
+        norm_A = np.max(np.sum(np.abs(A), axis=1))
+        assert np.max(np.abs(A @ x - b)) <= 1e-13 * norm_A * np.max(np.abs(x))
 
 
 class TestSolveConvex:
