@@ -12,6 +12,7 @@ thread count is validated, rows run in order and results do not depend on it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -25,7 +26,9 @@ EXIT_NUMERICAL = 3
 EXIT_NONCONVERGENCE = 4
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and kept."""
     parser = argparse.ArgumentParser(
         prog="hyperadams",
         description="Numerical experiments for sharp exponential-class "

@@ -9,6 +9,10 @@ One mesh serves three jobs at once:
   symmetric positive-semidefinite sparse matrix, and
 * pointwise differentiation of nodal data (interface values averaged).
 
+Both sparse matrices are summed into one CSR structure per mesh that
+follows in closed form from (n_elements, p).  The reference rules of a
+degree are computed once per degree and read-only.
+
 Weighted Laplace-type operators are produced as ``A = M^{-1} K`` with a
 diagonal (lumped) mass ``M`` and are therefore exactly self-adjoint in the
 M-inner product.  Weights that vanish at the axis node t = 0 (such as
@@ -26,6 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
+
+from .errors import DiscretizationError
 
 __all__ = [
     "gauss_lobatto",
@@ -107,6 +113,23 @@ def interpolate(x_nodes: np.ndarray, values: np.ndarray, x_eval: np.ndarray) -> 
         np.broadcast_to(values, q.shape), hit.argmax(axis=1)[:, None], axis=1
     )[:, 0]
     return np.where(hit.any(axis=1), node_value, num / q.sum(axis=1))
+
+
+@functools.cache
+def _reference_derivative(p: int) -> np.ndarray:
+    """Differentiation matrix on the degree-p Gauss-Lobatto nodes."""
+    return _read_only(differentiation_matrix(gauss_lobatto(p)[0]))
+
+
+@functools.cache
+def _axis_rule(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [-1, 1] for the axis-element integral, with
+    the square of the degree-p axis cardinal function phi_0 at those nodes."""
+    xg, wg = gauss_legendre(4 * (p + 1))
+    card = np.zeros(p + 1)
+    card[0] = 1.0
+    phi0 = interpolate(gauss_lobatto(p)[0], card, xg)
+    return xg, wg, _read_only(phi0**2)
 
 
 def graded_edges(x_max: float, n_elements: int, grading: float = 1.0) -> np.ndarray:
@@ -238,16 +261,35 @@ class Mesh1D:
             minlength=edge_idx * self.p + 1,
         )
 
+    @functools.cached_property
+    def _csr_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, slots) of the element-coupling CSR pattern.
+
+        Row i holds, in column order, the nodes of the element(s) containing
+        i: p + 1 of them, or 2p + 1 at an interface.  ``slots[e, a, b]`` is
+        the data position of block entry (a, b) of element e; its row starts
+        one element to the left when a = 0 is an interface.  Only an
+        interface diagonal entry receives two contributions, so summing into
+        the slots gives the sums of a COO ``sum_duplicates``."""
+        p, n_el = self.p, self.n_elements
+        row_len = np.full(self.n_nodes, p + 1, dtype=np.int32)
+        row_len[p:-1:p] = 2 * p + 1
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
+        np.cumsum(row_len, out=indptr[1:])
+        first_col = np.maximum((np.arange(self.n_nodes, dtype=np.int32) - 1) // p, 0) * p
+        indices = np.repeat(first_col - indptr[:-1], row_len) + np.arange(
+            indptr[-1], dtype=np.int32
+        )
+        shift = np.zeros((n_el, p + 1, 1), dtype=np.int32)
+        shift[1:, 0] = p
+        slots = indptr[self.elements][:, :, None] + np.arange(p + 1, dtype=np.int32) + shift
+        return _read_only(indptr), _read_only(indices), _read_only(slots.ravel())
+
     def _scatter(self, blocks: np.ndarray) -> sp.csr_matrix:
         """Sum per-element ``(p+1, p+1)`` blocks into a global CSR matrix."""
-        rows = np.broadcast_to(self.elements[:, :, None], blocks.shape)
-        cols = np.broadcast_to(self.elements[:, None, :], blocks.shape)
-        A = sp.csr_matrix(
-            (blocks.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        A.sum_duplicates()
-        return A
+        indptr, indices, slots = self._csr_structure
+        data = np.bincount(slots, weights=blocks.ravel(), minlength=indices.size)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n_nodes, self.n_nodes))
 
     def stiffness(self, coeff: np.ndarray) -> sp.csr_matrix:
         """Assemble ``K[i,j] = int coeff(t) phi_i'(t) phi_j'(t) dt``.
@@ -256,8 +298,8 @@ class Mesh1D:
         coeff >= 0 and annihilates constants exactly.
         """
         coeff = np.asarray(coeff, dtype=float)
-        xi, wref = gauss_lobatto(self.p)
-        Dref = differentiation_matrix(xi)
+        _, wref = gauss_lobatto(self.p)
+        Dref = _reference_derivative(self.p)
         w_el = wref * coeff[self.elements] / self.jac[:, None]
         return self._scatter(Dref.T @ (w_el[:, :, None] * Dref))
 
@@ -271,7 +313,8 @@ class Mesh1D:
         ``int_elem0 phi_0(t)^2 axis_fn(t) dt``.  (The row-sum value
         ``int phi_0 axis_fn`` is useless here: Gauss-Lobatto exactness makes
         it vanish for polynomial weights of degree <= p-1 that are zero at
-        the axis.)
+        the axis.)  A correction that is not positive raises
+        ``DiscretizationError``.
         """
         coeff = np.asarray(coeff, dtype=float)
         m = self.quad_w * coeff
@@ -279,7 +322,7 @@ class Mesh1D:
             m = m.copy()
             m[0] = self._axis_cardinal_integral(axis_fn)
             if m[0] <= 0.0:
-                raise ValueError(
+                raise DiscretizationError(
                     "axis mass correction came out non-positive; "
                     "raise the element degree"
                 )
@@ -287,20 +330,15 @@ class Mesh1D:
 
     def _axis_cardinal_integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         """``int_elem0 phi_0^2 fn`` via dense Gauss quadrature (fn >= 0)."""
-        xi, _ = gauss_lobatto(self.p)
+        xg, wg, phi0_sq = _axis_rule(self.p)
         a, b = self.edges[0], self.edges[1]
         jac = 0.5 * (b - a)
-        xg, wg = gauss_legendre(4 * (self.p + 1))
-        card = np.zeros(self.p + 1)
-        card[0] = 1.0
-        phi0 = interpolate(xi, card, xg)
         x_phys = 0.5 * (a + b) + jac * xg
-        return float(np.dot(wg * jac, phi0**2 * np.asarray(fn(x_phys), dtype=float)))
+        return float(np.dot(wg * jac, phi0_sq * np.asarray(fn(x_phys), dtype=float)))
 
     def deriv_matrix(self) -> sp.csr_matrix:
         """Pointwise d/dt of nodal data (interface rows averaged)."""
-        xi, _ = gauss_lobatto(self.p)
-        Dref = differentiation_matrix(xi)
+        Dref = _reference_derivative(self.p)
         share = np.ones(self.n_nodes)
         share[self.p : -1 : self.p] = 0.5
         scale = share[self.elements]

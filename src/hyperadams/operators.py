@@ -6,7 +6,8 @@ polynomial in A (in particular each GJMS factor and their product) is exactly
 self-adjoint in the M-inner product and the assembled quadratic forms are
 symmetric to roundoff.  The product operator keeps its factors, so
 quadratic forms are evaluated with at most ceil((k-1)/2) pointwise operator
-applications per side.
+applications per side.  Each factor B_j = K + sigma_j M is a copy of K's
+data with sigma_j M added on the diagonal slots, on K's own CSR structure.
 
 Sign conventions: ``*_laplacian_radial`` return Delta (resp. Delta_g); the
 GJMS base operator is P_1 = -Delta_g - N(N-2)/4 and the critical product is
@@ -86,11 +87,28 @@ class GJMSOperator:
 
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @cached_property
+    def _diagonal_slots(self) -> np.ndarray:
+        """Data positions of K's diagonal, one per row (K is canonical CSR)."""
+        K = self.stiffness
+        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        return np.flatnonzero(K.indices == rows)
+
     def factor_matrix(self, j: int) -> sp.csr_matrix:
         """B_j = K + sigma_j M, the M-weighted j-th factor (symmetric), built on
-        first use and kept: the form needs one factor, the energy matrix all."""
+        first use and kept: the form needs one factor, the energy matrix all.
+
+        B_j shares K's structure: sigma_j M is added on K's diagonal slots, the
+        same single addition per entry as the sparse sum K + sigma_j diag(M)."""
         if j not in self._factors:
-            self._factors[j] = (self.stiffness + self.shifts[j] * sp.diags(self.mass)).tocsr()
+            K = self.stiffness
+            data = K.data.copy()
+            data[self._diagonal_slots] += self.shifts[j] * self.mass
+            B = sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
+            if not data.all():  # the sparse sum stores no zero entry
+                B = B.copy()
+                B.eliminate_zeros()
+            self._factors[j] = B
         return self._factors[j]
 
     def apply(self, u, js=None) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hyperadams
-from hyperadams.cli import main
+from hyperadams.cli import _parser, main
 from hyperadams.config import (
     ExperimentConfig,
     load_config,
@@ -188,6 +188,35 @@ class TestCLI:
         assert main([command, cfg, "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = blowup\nk = 2\nbeta_list = 1000\nm_list = 1" + "0" * 200 + "\n",
+            "experiment = sobolev-asymptotics\nk = 2\nm_list = 1" + "0" * 200 + "\n",
+        ],
+        ids=["blowup", "sobolev-asymptotics"],
+    )
+    def test_non_positive_axis_mass_exit_3_no_output(self, tmp_path, capsys, text):
+        # at m = 1e200 the axis element's weight underflows; the lumped mass
+        # cannot be corrected and that is a numerical failure, not a crash
+        cfg = write(tmp_path, "axis.cfg", text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        assert "numerical failure: axis mass correction came out non-positive" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_parser_built_once_and_errors_still_exit_2(self, capsys):
+        assert _parser() is _parser()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["frobnicate"])
+            assert exc.value.code == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1] and "invalid choice: 'frobnicate'" in messages[0]
 
     def test_constants_contains_first_order_row(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", "experiment = constants\nk_max = 6\n")

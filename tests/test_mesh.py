@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from hyperadams.errors import DiscretizationError
 from hyperadams.mesh import (
     Mesh1D,
+    _axis_rule,
+    _reference_derivative,
     differentiation_matrix,
     gauss_legendre,
     gauss_lobatto,
@@ -124,3 +128,107 @@ def test_refining_elements_converges_at_documented_order():
     errs = [abs(v - ref) for v in errors[:-1]]
     order = np.log2(errs[0] / errs[1])
     assert order > 3.5
+
+
+# The general COO assembly that the closed-form CSR structure replaces, kept
+# as the reference it must reproduce bit for bit.
+def coo_scatter(mesh, blocks):
+    rows = np.broadcast_to(mesh.elements[:, :, None], blocks.shape)
+    cols = np.broadcast_to(mesh.elements[:, None, :], blocks.shape)
+    A = sp.csr_matrix(
+        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(mesh.n_nodes, mesh.n_nodes)
+    )
+    A.sum_duplicates()
+    return A
+
+
+def reference_stiffness(mesh, coeff):
+    xi, wref = gauss_lobatto(mesh.p)
+    Dref = differentiation_matrix(xi)
+    w_el = wref * coeff[mesh.elements] / mesh.jac[:, None]
+    return coo_scatter(mesh, Dref.T @ (w_el[:, :, None] * Dref))
+
+
+def reference_deriv_matrix(mesh):
+    Dref = differentiation_matrix(gauss_lobatto(mesh.p)[0])
+    share = np.ones(mesh.n_nodes)
+    share[mesh.p : -1 : mesh.p] = 0.5
+    return coo_scatter(mesh, share[mesh.elements][:, :, None] * (Dref / mesh.jac[:, None, None]))
+
+
+def reference_lumped_mass(mesh, coeff, axis_fn=None):
+    m = mesh.quad_w * coeff
+    if axis_fn is not None and m[0] == 0.0:
+        m = m.copy()
+        xi, _ = gauss_lobatto(mesh.p)
+        a, b = mesh.edges[0], mesh.edges[1]
+        jac = 0.5 * (b - a)
+        xg, wg = gauss_legendre(4 * (mesh.p + 1))
+        card = np.zeros(mesh.p + 1)
+        card[0] = 1.0
+        phi0 = interpolate(xi, card, xg)
+        x_phys = 0.5 * (a + b) + jac * xg
+        m[0] = float(np.dot(wg * jac, phi0**2 * axis_fn(x_phys)))
+    return m
+
+
+def assert_same_csr(A, B):
+    assert A.nnz == B.nnz
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.array_equal(A.data, B.data)
+    assert np.array_equal(A.toarray(), B.toarray())
+    # sorted, duplicate-free column indices in every row
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    assert np.all(np.diff(A.indices)[rows[1:] == rows[:-1]] > 0)
+
+
+ASSEMBLY_EDGES = {
+    "graded": graded_edges(5.0, 9, 2.0),
+    "geometric": geometric_edges(3.0, 0.01, ratio=1.5, h_cap=0.5, forced=(1.0,)),
+    "one-element": np.array([0.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("edges", ASSEMBLY_EDGES.values(), ids=ASSEMBLY_EDGES.keys())
+@pytest.mark.parametrize("p", range(1, 13))
+def test_assembly_matches_coo_reference(p, edges):
+    mesh = Mesh1D(edges, p=p)
+    coeff = np.sinh(mesh.nodes) ** 3
+    assert_same_csr(mesh.stiffness(coeff), reference_stiffness(mesh, coeff))
+    assert_same_csr(mesh.deriv_matrix(), reference_deriv_matrix(mesh))
+    assert np.array_equal(mesh.lumped_mass(coeff), reference_lumped_mass(mesh, coeff))
+
+    def axis_fn(t):
+        return t**3
+
+    assert np.array_equal(
+        mesh.lumped_mass(coeff, axis_fn), reference_lumped_mass(mesh, coeff, axis_fn)
+    )
+
+
+def test_reference_rules_built_once_per_degree_and_read_only():
+    p = 7
+    xi, _ = gauss_lobatto(p)
+    D = _reference_derivative(p)
+    assert np.array_equal(D, differentiation_matrix(xi))
+    xg, wg, phi0_sq = _axis_rule(p)
+    card = np.zeros(p + 1)
+    card[0] = 1.0
+    assert np.array_equal(phi0_sq, interpolate(xi, card, xg) ** 2)
+    for a in (D, xg, wg, phi0_sq):
+        assert not a.flags.writeable
+    built = (_reference_derivative.cache_info().misses, _axis_rule.cache_info().misses)
+    for n_el in (3, 8):
+        mesh = Mesh1D(graded_edges(2.0, n_el, 1.5), p=p)
+        mesh.stiffness(np.ones(mesh.n_nodes))
+        mesh.deriv_matrix()
+        mesh.lumped_mass(mesh.nodes, axis_fn=lambda t: t)
+    assert _reference_derivative(p) is D and _axis_rule(p)[2] is phi0_sq
+    assert (_reference_derivative.cache_info().misses, _axis_rule.cache_info().misses) == built
+
+
+def test_non_positive_axis_mass_is_a_discretization_error():
+    mesh = Mesh1D(graded_edges(1.0, 4, 1.0), p=4)
+    with pytest.raises(DiscretizationError, match="non-positive"):
+        mesh.lumped_mass(mesh.nodes, axis_fn=lambda t: -t)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
 from hyperadams.errors import DiscretizationError, DomainError
 from hyperadams.operators import (
+    GJMSOperator,
     euclidean_gradk_energy,
     euclidean_laplacian_radial,
     gjms_assemble,
@@ -218,6 +220,43 @@ class TestFactoredOperator:
         assert np.array_equal(P.apply(block), [P.apply(u) for u in block])
         cross = P.quadratic_form(block, block[::-1])
         assert np.array_equal(cross, [P.quadratic_form(u, w) for u, w in zip(block, block[::-1])])
+
+    @staticmethod
+    def sparse_sum_factor(P, j):
+        # the general sparse sum that the diagonal add on K's structure replaces
+        return (P.stiffness + P.shifts[j] * sp.diags(P.mass)).tocsr()
+
+    @staticmethod
+    def assert_same_csr(A, B):
+        assert A.nnz == B.nnz
+        assert np.array_equal(A.indptr, B.indptr)
+        assert np.array_equal(A.indices, B.indices)
+        assert np.array_equal(A.data, B.data)
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [4, 6])
+    def test_factors_and_energy_matrix_match_sparse_sum(self, degree, k, restricted):
+        # bit for bit: the k=2 Newton certificate depends on the last bits of H0
+        grid = RadialGrid.geodesic(r_max=12.0, n_elements=12, degree=degree, grading=1.5)
+        P = gjms_assemble(DimensionParams(k), grid)
+        if restricted:
+            P = P.restrict(grid.n_nodes - 1)
+        factors = [self.sparse_sum_factor(P, j) for j in range(k)]
+        for j, B in enumerate(factors):
+            self.assert_same_csr(P.factor_matrix(j), B)
+        weighted = factors[0]
+        for B in factors[1:]:
+            weighted = (weighted @ sp.diags(1.0 / P.mass) @ B).tocsr()
+        self.assert_same_csr(P.energy_matrix, (P.dims.omega_Nm1 * weighted).tocsr())
+
+    def test_factor_stores_no_zero_entry(self, dims2):
+        # like the sparse sum, a factor drops the entries that come out zero
+        K = sp.csr_matrix(([2.0, 0.0, 0.0, 3.0], [0, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
+        P = GJMSOperator(K, np.ones(2), gjms_shifts(2), dims2)
+        for j in range(2):
+            self.assert_same_csr(P.factor_matrix(j), self.sparse_sum_factor(P, j))
+        assert P.factor_matrix(0).nnz == 1 and K.nnz == 4
 
     def test_factors_built_once(self, geo_grid):
         P = gjms_assemble(DimensionParams(3), geo_grid)
