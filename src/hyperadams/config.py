@@ -207,6 +207,14 @@ def _check_ranges(experiment: str, v: dict) -> None:
         raise ConfigError("mode must be 'convex' or 'log-constrained'")
     if "delta" in v and not (0 < v["delta"] < 1):
         raise ConfigError("delta must lie in (0, 1)")
+    if "b_max" in v and not (0 <= v["b_max"] < 1):  # tau_b needs |b| < 1
+        raise ConfigError("b_max must lie in [0, 1)")
+    if "support_radius" in v and not (0 < v["support_radius"] < 1):
+        raise ConfigError("support_radius must lie in (0, 1)")
+    if v.get("n_radial", 1) < 1:
+        raise ConfigError("n_radial must be >= 1")
+    if v.get("n_angular", 1) < 1:
+        raise ConfigError("n_angular must be >= 1")
 
 
 def load_config(path: str) -> ExperimentConfig:

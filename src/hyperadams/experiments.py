@@ -20,10 +20,11 @@ from .ball import (
     DiskGrid,
     RadialFunction,
     RadialGrid,
-    pushforward_2d,
+    hyperbolic_translate,
+    squared_norm,
 )
 from .config import ExperimentConfig
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DiscretizationError, DomainError
 from .extremals import blowup_experiment, blowup_slopes, sobolev_upper_experiment
 from .inequalities import (
     beta0,
@@ -58,26 +59,30 @@ def _grid(params: dict, n_elements: int | None = None) -> RadialGrid:
     )
 
 
-def random_smooth_profiles(grid: RadialGrid, rng, n: int):
-    """Seeded family of smooth, decaying, even radial profiles.
+def random_smooth_profiles(grid: RadialGrid, rng, n: int) -> RadialFunction:
+    """Seeded family of smooth, decaying, even radial profiles, as one
+    RadialFunction holding an (n, n_nodes) block, one profile per row.
 
     Each profile draws three amplitudes in [-1, 1], then three rates in
-    [0.4, 2.5]; the family is sampled as one block."""
+    [0.4, 2.5]."""
     draws = rng.uniform([-1.0] * 3 + [0.4] * 3, [1.0] * 3 + [2.5] * 3, size=(n, 6))
     r2 = grid.mesh.nodes**2
     values = sum(draws[:, [i]] * np.exp(-draws[:, [3 + i]] * r2) for i in range(3))
-    return [RadialFunction(grid, row) for row in values]
+    return RadialFunction(grid, values)
 
 
-def random_ball_profiles(grid: RadialGrid, rng, n: int, k: int, s0: float = 0.55):
-    """Smooth profiles compactly supported inside the unit ball (Owen sweeps).
+def random_ball_profiles(
+    grid: RadialGrid, rng, n: int, k: int, s0: float = 0.55
+) -> RadialFunction:
+    """Smooth profiles compactly supported inside the unit ball (Owen sweeps),
+    as one (n, n_nodes) block.
 
     The bump power grows with k so grad^k stays continuous."""
     s = grid.mesh.nodes
     base = np.clip(1.0 - (s / s0) ** 2, 0.0, None) ** (k + 3)
     coeffs = rng.uniform(-1.0, 1.0, size=(n, 3))
     values = base * (coeffs[:, [0]] + coeffs[:, [1]] * s**2 + coeffs[:, [2]] * s**4)
-    return [RadialFunction(grid, row, support_radius=s0) for row in values]
+    return RadialFunction(grid, values, support_radius=s0)
 
 
 # -- individual experiments ---------------------------------------------------
@@ -140,15 +145,16 @@ def run_conformal_identity(cfg: ExperimentConfig) -> ExperimentReport:
         dims = DimensionParams(k)
         # the stiff high-order products need a resolved base level
         base_scale = {1: 1, 2: 1, 3: 2}.get(k, 2)
+        levels = []  # (n_elements, grid, P_k) of each level, shared by the bumps
+        for lvl in range(cfg.params["levels"]):
+            n_el = cfg.params["n_elements"] * 2**lvl * base_scale
+            grid = _grid(cfg.params, n_el)
+            levels.append((n_el, grid, gjms_assemble(dims, grid)))
         for name, fn in BUMPS.items():
             oracle = flat_oracle_energy(k, fn, oracle_grid)
             errs = []
-            for lvl in range(cfg.params["levels"]):
-                n_el = cfg.params["n_elements"] * 2**lvl * base_scale
-                grid = _grid(cfg.params, n_el)
-                u = RadialFunction.from_callable(grid, fn)
-                op = gjms_assemble(dims, grid)
-                gjms_val = op.quadratic_form(u)
+            for n_el, grid, op in levels:
+                gjms_val = op.quadratic_form(RadialFunction.from_callable(grid, fn))
                 rel = abs(gjms_val - oracle) / oracle
                 errs.append(rel)
                 rows.append((k, name, n_el, grid.n_nodes, gjms_val, oracle, rel))
@@ -193,16 +199,18 @@ def _inequality_margins(cfg: ExperimentConfig):
     owen rows, with every family drawn from the config's seed in order."""
     rng = np.random.default_rng(cfg.seed)
     n_prof = cfg.params["n_profiles"]
+    # one grid of each kind serves every k: operators are cached per dimension
+    grid = _grid(cfg.params)
+    ball = RadialGrid.euclidean_ball(
+        s_max=1.0, n_elements=cfg.params["n_elements"], degree=cfg.params["poly_degree"]
+    )
     for k in range(1, cfg.params["k_max"] + 1):
         dims = DimensionParams(k)
-        profiles = random_smooth_profiles(_grid(cfg.params), rng, n_prof)
+        profiles = random_smooth_profiles(grid, rng, n_prof)
         rows = [
             _margin_summary("poincare", k, l, margins)
             for l, margins in enumerate(poincare_margins(profiles, k, dims))
         ]
-        ball = RadialGrid.euclidean_ball(
-            s_max=1.0, n_elements=cfg.params["n_elements"], degree=cfg.params["poly_degree"]
-        )
         ball_profiles = random_ball_profiles(ball, rng, n_prof // 2, k)
         rows.append(_margin_summary("owen", k, 0, owen_margins(ball_profiles, k)))
         yield dims, profiles, rows
@@ -213,10 +221,12 @@ def run_inequalities(cfg: ExperimentConfig) -> ExperimentReport:
     delta = cfg.params["delta"]
     for dims, profiles, margin_rows in _inequality_margins(cfg):
         rows += margin_rows
-        fitted = profiles[:20]
-        op = gjms_assemble(dims, fitted[0].grid)
+        fitted = RadialFunction(profiles.grid, profiles.values[:20])
+        op = gjms_assemble(dims, profiles.grid)
         calib = fit_linearized_calibration(fitted, delta, dims, operator=op)
-        rows.append(("linearized_calibration", dims.k, 0, len(fitted), calib, delta))
+        rows.append(
+            ("linearized_calibration", dims.k, 0, len(fitted.values), calib, delta)
+        )
     suite = scalar_inequality_suite(seed=cfg.seed)
     rows.append(
         (
@@ -369,8 +379,7 @@ def run_isometry_2d(cfg: ExperimentConfig) -> ExperimentReport:
     # compactly supported profile for the integral identity (u must be
     # square-integrable against the exploding boundary volume)
     def u_fn(points):
-        pts = np.asarray(points, dtype=float)
-        s2 = np.sum(pts * pts, axis=-1)
+        s2 = squared_norm(points)
         out = np.zeros_like(s2)
         inside = s2 < s0**2
         out[inside] = np.exp(-s2[inside] / (s0**2 - s2[inside]))
@@ -381,29 +390,31 @@ def run_isometry_2d(cfg: ExperimentConfig) -> ExperimentReport:
     a = 6.0
 
     def g_fn(points):
-        pts = np.asarray(points, dtype=float)
-        s2 = np.sum(pts * pts, axis=-1)
+        s2 = squared_norm(points)
         return np.exp(-a * s2)
 
     def lap_g(points):
-        pts = np.asarray(points, dtype=float)
-        s2 = np.sum(pts * pts, axis=-1)
+        s2 = squared_norm(points)
         return ((1.0 - s2) / 2.0) ** 2 * (4.0 * a**2 * s2 - 4.0 * a) * np.exp(-a * s2)
 
     base_u = disk.sample(u_fn)
     base_int = disk.integrate_hyperbolic(base_u**2)
+    if base_int == 0.0:  # every relative deviation would divide by it
+        raise DiscretizationError(
+            "no disk node lies inside the support of u; "
+            "raise n_radial or support_radius"
+        )
     rows = []
     for _ in range(p["n_translations"]):
         while True:
             b = rng.uniform(-p["b_max"], p["b_max"], size=2)
             if np.linalg.norm(b) <= p["b_max"]:
                 break
-        composed = pushforward_2d(u_fn, b)
-        F = disk.sample(composed)
-        moved_int = disk.integrate_hyperbolic(F**2)
-        G = disk.sample(pushforward_2d(g_fn, b))
-        lap_disc = disk.laplace_beltrami(G)
-        lap_true = disk.sample(pushforward_2d(lap_g, b))
+        # u, g and Delta_g g composed with tau_b, all on one set of moved points
+        moved = hyperbolic_translate(b, disk.points)
+        moved_int = disk.integrate_hyperbolic(u_fn(moved) ** 2)
+        lap_disc = disk.laplace_beltrami(g_fn(moved))
+        lap_true = lap_g(moved)
         sup_dev = float(np.max(np.abs(lap_disc - lap_true)))
         sup_ref = float(np.max(np.abs(lap_true)))
         rows.append(

@@ -151,7 +151,12 @@ def adams_functional(u: RadialFunction, beta: float, dims: DimensionParams) -> f
 
 
 def _family(profiles) -> tuple:
-    """(grid, (P, n) block of values) of a profile family on one grid."""
+    """(grid, (P, n) block of values) of a profile family on one grid.
+
+    A family is one RadialFunction, whose (P, n) block holds a profile per
+    row (a single profile is a family of one), or a sequence of profiles."""
+    if isinstance(profiles, RadialFunction):
+        return profiles.grid, np.atleast_2d(profiles.values)
     grid = profiles[0].grid
     if any(u.grid is not grid for u in profiles):
         raise DomainError("a profile family lives on one grid")
@@ -183,7 +188,7 @@ def check_poincare_chain(
     """
     if not 0 <= l < k:
         raise DomainError("need 0 <= l < k")
-    return float(poincare_margins([u], k, dims)[l, 0])
+    return float(poincare_margins(u, k, dims)[l, 0])
 
 
 def owen_margins(profiles, k: int) -> np.ndarray:
@@ -218,7 +223,7 @@ def owen_margins(profiles, k: int) -> np.ndarray:
 def check_owen(u: RadialFunction, k: int) -> float:
     """Margin of the boundary Hardy-Rellich inequality for one profile (see
     ``owen_margins``)."""
-    return float(owen_margins([u], k)[0])
+    return float(owen_margins(u, k)[0])
 
 
 def scalar_inequality_suite(n_grid: int = 100_001, seed: int = 0) -> dict:
@@ -303,7 +308,7 @@ def linearized_adams_bound(
 ) -> float:
     """Margin of the linearized exponential-moment bound for one profile (see
     ``linearized_margins``)."""
-    return float(linearized_margins([u], delta, dims, calibration, operator)[0])
+    return float(linearized_margins(u, delta, dims, calibration, operator)[0])
 
 
 def fit_linearized_calibration(
@@ -311,8 +316,9 @@ def fit_linearized_calibration(
 ) -> float:
     """Empirical C(delta): sup over the family of log-moment minus the
     energy term (the fitted constant that makes every margin nonnegative)."""
-    profiles = list(profiles)
-    if not profiles:
-        return -math.inf
+    if not isinstance(profiles, RadialFunction):
+        profiles = list(profiles)
+        if not profiles:
+            return -math.inf
     margins = linearized_margins(profiles, delta, dims, 0.0, operator).tolist()
     return max([-math.inf] + [-margin for margin in margins if margin != math.inf])

@@ -15,6 +15,7 @@ from hyperadams.ball import (
     integrate_radial,
     metric_factor,
     pushforward_2d,
+    squared_norm,
     volume_weight,
 )
 from hyperadams.errors import (
@@ -164,6 +165,32 @@ class TestIntegrateRadial:
         family = RadialFunction(geo_grid, np.ones((2, geo_grid.n_nodes)))
         with pytest.raises(ValueError, match="unknown measure"):
             integrate_radial(family, dims1, measure="flat")
+
+
+def _translate_with_axis_sum(b, x):
+    """hyperbolic_translate as written with np.sum over the point axis: the
+    reference for the left-to-right squared norm."""
+    b2 = float(np.dot(b, b))
+    x2 = np.sum(x * x, axis=-1)
+    xb = np.tensordot(x, b, axes=([-1], [0]))
+    denom = b2 * x2 + 2.0 * xb + 1.0
+    num = (1.0 - b2) * x + (x2 + 2.0 * xb + 1.0)[..., None] * b
+    return num / denom[..., None]
+
+
+class TestSquaredNorm:
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_bitwise_axis_sum(self, rng, length):
+        x = rng.uniform(-1.0, 1.0, size=(96, 128, length))
+        assert np.array_equal(squared_norm(x), np.sum(x * x, axis=-1))
+        assert np.array_equal(squared_norm(x[5, 7]), np.sum(x[5, 7] ** 2))
+
+    def test_translate_bitwise_as_axis_sum(self, rng):
+        disk = DiskGrid(s_max=0.92, n_radial=48, n_angular=64)
+        for b in rng.uniform(-0.4, 0.4, size=(5, 2)):
+            assert np.array_equal(
+                hyperbolic_translate(b, disk.points), _translate_with_axis_sum(b, disk.points)
+            )
 
 
 class TestHyperbolicTranslate:

@@ -167,6 +167,11 @@ class TestCLI:
             "experiment = inequalities\nn_profiles = 1\n",
             "experiment = inequalities\ngrading = 0\n",
             "experiment = blowup\nk = 1\nbeta_list = 13.8\nm_list = 1000\nr_max = -2\n",
+            "experiment = isometry-2d\nb_max = -0.1\n",
+            "experiment = isometry-2d\nb_max = 1.5\n",
+            "experiment = isometry-2d\nsupport_radius = 0\n",
+            "experiment = isometry-2d\nn_radial = 0\n",
+            "experiment = isometry-2d\nn_angular = 0\n",
         ],
         ids=[
             "pde-family",
@@ -180,6 +185,11 @@ class TestCLI:
             "inequalities-n_profiles",
             "inequalities-grading",
             "blowup-r_max",
+            "isometry-b_max-negative",
+            "isometry-b_max-outside",
+            "isometry-support_radius",
+            "isometry-n_radial",
+            "isometry-n_angular",
         ],
     )
     def test_out_of_range_value_exit_2_no_output(self, tmp_path, capsys, text, command):
@@ -204,6 +214,17 @@ class TestCLI:
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 3
         assert "numerical failure: axis mass correction came out non-positive" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_isometry_support_between_nodes_exit_3_no_output(self, tmp_path, capsys):
+        # the one radial Gauss node sits at s = 0.46, outside the support, so
+        # the base integral is 0 and no relative deviation is defined
+        cfg = write(tmp_path, "iso.cfg", "experiment = isometry-2d\nn_radial = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        assert "numerical failure: no disk node lies inside the support" in (
             capsys.readouterr().err
         )
         assert not out.exists()

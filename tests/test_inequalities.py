@@ -165,14 +165,36 @@ class TestFamilyChecks:
         margins = poincare_margins(profiles, k, dims)
         assert margins.shape == (k, 50)
         for l in range(k):
-            single = [check_poincare_chain(u, k, l, dims) for u in profiles]
+            single = [
+                check_poincare_chain(RadialFunction(grid, row), k, l, dims)
+                for row in profiles.values
+            ]
             assert np.array_equal(margins[l], single)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_owen_family_is_bitwise_per_profile(self, k, ball_grid):
         profiles = random_ball_profiles(ball_grid, np.random.default_rng(k), 50, k)
-        single = [check_owen(u, k) for u in profiles]
+        single = [
+            check_owen(RadialFunction(ball_grid, row, profiles.support_radius), k)
+            for row in profiles.values
+        ]
         assert np.array_equal(owen_margins(profiles, k), single)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_linearized_family_is_bitwise_per_profile(self, k):
+        dims = DimensionParams(k)
+        grid = RadialGrid.geodesic(r_max=9.0, n_elements=16, degree=6, grading=2.0)
+        profiles = random_smooth_profiles(grid, np.random.default_rng(k), 30)
+        op = gjms_assemble(dims, grid)
+        margins = linearized_margins(profiles, 0.9, dims, 0.5, operator=op)
+        single = [
+            linearized_adams_bound(RadialFunction(grid, row), 0.9, dims, 0.5, operator=op)
+            for row in profiles.values
+        ]
+        assert np.array_equal(margins, single)
+        calib = fit_linearized_calibration(profiles, 0.9, dims, operator=op)
+        rows = [RadialFunction(grid, row) for row in profiles.values]
+        assert calib == fit_linearized_calibration(rows, 0.9, dims, operator=op)
 
     def test_families_sample_as_the_per_profile_loop(self, geo_grid, ball_grid):
         # the block sampling draws and computes exactly what one draw per
@@ -181,20 +203,21 @@ class TestFamilyChecks:
         r, s = geo_grid.mesh.nodes, ball_grid.mesh.nodes
         smooth = random_smooth_profiles(geo_grid, rng, 40)
         ball = random_ball_profiles(ball_grid, rng, 20, 2)
-        for u in smooth:
+        for row in smooth.values:
             amps, rates = ref.uniform(-1.0, 1.0, size=3), ref.uniform(0.4, 2.5, size=3)
-            assert np.array_equal(u.values, sum(a * np.exp(-c * r**2) for a, c in zip(amps, rates)))
+            assert np.array_equal(row, sum(a * np.exp(-c * r**2) for a, c in zip(amps, rates)))
         bump = np.clip(1.0 - (s / 0.55) ** 2, 0.0, None) ** 5
-        for u in ball:
+        for row in ball.values:
             c = ref.uniform(-1.0, 1.0, size=3)
-            assert np.array_equal(u.values, bump * (c[0] + c[1] * s**2 + c[2] * s**4))
+            assert np.array_equal(row, bump * (c[0] + c[1] * s**2 + c[2] * s**4))
         assert rng.random() == ref.random()
 
     def test_owen_family_refuses_one_boundary_member(self, ball_grid):
-        good = random_ball_profiles(ball_grid, np.random.default_rng(0), 4, 1)
-        bad = RadialFunction(ball_grid, np.ones(ball_grid.n_nodes))
+        good = random_ball_profiles(ball_grid, np.random.default_rng(0), 4, 1).values
+        bad = np.ones(ball_grid.n_nodes)
+        family = RadialFunction(ball_grid, np.vstack([good[:2], bad, good[2:]]))
         with pytest.raises(DomainError, match="boundary"):
-            owen_margins(good[:2] + [bad] + good[2:], 1)
+            owen_margins(family, 1)
 
     def test_family_on_one_grid(self, geo_grid, dims1):
         other = RadialGrid.geodesic(r_max=9.0, n_elements=20, degree=6, grading=2.5)
@@ -231,7 +254,11 @@ class TestOwen:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sweep_nonnegative(self, k, ball_grid, rng):
         fine = RadialGrid.euclidean_ball(s_max=1.0, n_elements=40, degree=6, grading=1.5)
-        margins = [check_owen(u, k) for u in random_ball_profiles(fine, rng, 50, k)]
+        family = random_ball_profiles(fine, rng, 50, k)
+        margins = [
+            check_owen(RadialFunction(fine, row, family.support_radius), k)
+            for row in family.values
+        ]
         scale = float(np.max(np.abs(margins)))
         assert np.min(margins) >= -1e-10 * scale
 
