@@ -180,14 +180,14 @@ def _translate_with_axis_sum(b, x):
 
 class TestSquaredNorm:
     @pytest.mark.parametrize("length", range(1, 8))
-    def test_bitwise_axis_sum(self, rng, length):
-        x = rng.uniform(-1.0, 1.0, size=(96, 128, length))
+    def test_bitwise_axis_sum(self, length):
+        x = np.random.default_rng(length).uniform(-1.0, 1.0, size=(96, 128, length))
         assert np.array_equal(squared_norm(x), np.sum(x * x, axis=-1))
         assert np.array_equal(squared_norm(x[5, 7]), np.sum(x[5, 7] ** 2))
 
-    def test_translate_bitwise_as_axis_sum(self, rng):
+    def test_translate_bitwise_as_axis_sum(self):
         disk = DiskGrid(s_max=0.92, n_radial=48, n_angular=64)
-        for b in rng.uniform(-0.4, 0.4, size=(5, 2)):
+        for b in np.random.default_rng(5).uniform(-0.4, 0.4, size=(5, 2)):
             assert np.array_equal(
                 hyperbolic_translate(b, disk.points), _translate_with_axis_sum(b, disk.points)
             )
