@@ -12,7 +12,6 @@ from .ball import (
     geodesic_to_euclidean,
     hyperbolic_translate,
     integrate_radial,
-    metric_factor,
     pushforward_2d,
     volume_weight,
 )
@@ -25,7 +24,6 @@ from .extremals import (
     sobolev_upper_experiment,
 )
 from .inequalities import (
-    SharpConstants,
     adams_functional,
     beta0,
     check_owen,
@@ -38,7 +36,6 @@ from .inequalities import (
     scalar_inequality_suite,
 )
 from .operators import (
-    DiscreteOperator,
     EnergyReport,
     GJMSOperator,
     euclidean_gradk_energy,

@@ -56,15 +56,6 @@ class DimensionParams:
         object.__setattr__(self, "omega_Nm1", sphere_area(self.N - 1))
 
 
-def metric_factor(s):
-    """Conformal factor 2/(1 - s^2) of the Poincare metric at |x| = s."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0) or np.any(s_arr >= 1):
-        raise DomainError("euclidean radius must lie in [0, 1)")
-    out = 2.0 / (1.0 - s_arr**2)
-    return float(out) if np.isscalar(s) else out
-
-
 def geodesic_to_euclidean(r, complement: bool = False):
     """s = tanh(r/2); with ``complement`` also return 1 - s computed stably."""
     r_arr = np.asarray(r, dtype=float)
@@ -79,15 +70,13 @@ def geodesic_to_euclidean(r, complement: bool = False):
     return s, one_minus
 
 
-def euclidean_to_geodesic(s, one_minus_s=None):
-    """r = log((1+s)/(1-s)); pass ``one_minus_s`` for full accuracy near 1."""
+def euclidean_to_geodesic(s):
+    """r = log((1+s)/(1-s))."""
     s_arr = np.asarray(s, dtype=float)
-    given = one_minus_s is not None
-    oms = np.asarray(one_minus_s, dtype=float) if given else 1.0 - s_arr
-    if np.any(s_arr < 0) or np.any(oms <= 0):
+    if np.any(s_arr < 0) or np.any(s_arr >= 1):
         raise DomainError("euclidean radius must lie in [0, 1)")
     # log1p(-s) keeps the relative accuracy at small s that a rounded 1 - s loses
-    r = np.log1p(s_arr) - (np.log(oms) if given else np.log1p(-s_arr))
+    r = np.log1p(s_arr) - np.log1p(-s_arr)
     return float(r) if np.isscalar(s) else r
 
 
@@ -138,12 +127,8 @@ class RadialGrid:
         n_elements: int = 24,
         degree: int = 6,
         grading: float = 2.0,
-        forced_edges: Sequence[float] = (),
     ) -> "RadialGrid":
-        edges = graded_edges(r_max, n_elements, grading)
-        if forced_edges:
-            edges = np.unique(np.concatenate([edges, np.asarray(forced_edges, float)]))
-        return cls(Mesh1D(edges, degree), GEODESIC)
+        return cls(Mesh1D(graded_edges(r_max, n_elements, grading), degree), GEODESIC)
 
     @classmethod
     def geodesic_geometric(
@@ -165,12 +150,8 @@ class RadialGrid:
         n_elements: int = 24,
         degree: int = 6,
         grading: float = 1.5,
-        forced_edges: Sequence[float] = (),
     ) -> "RadialGrid":
-        edges = graded_edges(s_max, n_elements, grading)
-        if forced_edges:
-            edges = np.unique(np.concatenate([edges, np.asarray(forced_edges, float)]))
-        return cls(Mesh1D(edges, degree), EUCLIDEAN)
+        return cls(Mesh1D(graded_edges(s_max, n_elements, grading), degree), EUCLIDEAN)
 
     @classmethod
     def euclidean_geometric(
@@ -318,7 +299,6 @@ class RadialFunction:
 
     grid: RadialGrid
     values: np.ndarray
-    support_radius: float | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -334,42 +314,26 @@ class RadialFunction:
 
     @classmethod
     def from_callable(
-        cls,
-        grid: RadialGrid,
-        fn: Callable[[np.ndarray], np.ndarray],
-        support_radius: float | None = None,
+        cls, grid: RadialGrid, fn: Callable[[np.ndarray], np.ndarray]
     ) -> "RadialFunction":
         """Sample ``fn`` at the grid's primary-coordinate nodes."""
-        return cls(grid, np.asarray(fn(grid.mesh.nodes), dtype=float), support_radius)
+        return cls(grid, np.asarray(fn(grid.mesh.nodes), dtype=float))
 
     @property
     def origin_value(self) -> float:
         return float(self.values[0])
-
-    @property
-    def compactly_supported(self) -> bool:
-        return self.support_radius is not None
 
     def eval(self, x) -> np.ndarray:
         """Interpolate the profile at primary-coordinate points ``x``."""
         return self.grid.mesh.evaluate(self.values, x)
 
     def scaled(self, c: float) -> "RadialFunction":
-        return RadialFunction(self.grid, c * self.values, self.support_radius)
+        return RadialFunction(self.grid, c * self.values)
 
 
-def integrate_radial(
-    f: RadialFunction,
-    dims: DimensionParams,
-    measure: str = "hyperbolic",
-    r_max: float | None = None,
-):
+def integrate_radial(f: RadialFunction, dims: DimensionParams, measure: str = "hyperbolic"):
     """Quadrature of ``int f dv_g`` (or the flat-measure variant); an array
-    of one integral per profile for a family.
-
-    ``r_max`` truncates the integral at an element edge of the grid (the cut
-    must coincide with an edge; arbitrary cuts would break the quadrature).
-    """
+    of one integral per profile for a family."""
     if not np.all(np.isfinite(f.values)):
         raise NonFiniteSampleError("non-finite samples")
     if measure == "hyperbolic":
@@ -378,7 +342,7 @@ def integrate_radial(
         density = f.grid.euclidean_density(dims)
     else:
         raise ValueError(f"unknown measure {measure!r}")
-    return f.grid.mesh.integrate(f.values * density, x_max=r_max)
+    return f.grid.mesh.integrate(f.values * density)
 
 
 def tail_fraction(f: RadialFunction, dims: DimensionParams) -> float:

@@ -165,6 +165,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     seed = values.pop("seed")
     output = values.pop("output")
     values.pop("experiment")
+    if seed < 0:  # numpy's generators take only non-negative seeds
+        raise ConfigError("seed must be >= 0")
     _check_ranges(experiment, values)
     return ExperimentConfig(
         experiment=experiment, params=values, seed=seed, output=output
@@ -176,6 +178,10 @@ def _check_ranges(experiment: str, v: dict) -> None:
         raise ConfigError("k must be >= 1")
     if "k_max" in v and v["k_max"] < 1:
         raise ConfigError("k_max must be >= 1")
+    if experiment == "constants" and v["k_max"] > 171:  # 171! is the last finite double
+        raise ConfigError("k_max must be <= 171")
+    if "k_list" in v and not v["k_list"]:
+        raise ConfigError("k_list must be non-empty")
     if any(k < 1 for k in v.get("k_list", ())):
         raise ConfigError("every k in k_list must be >= 1")
     if v.get("levels", 2) < 2:
@@ -215,6 +221,10 @@ def _check_ranges(experiment: str, v: dict) -> None:
         raise ConfigError("n_radial must be >= 1")
     if v.get("n_angular", 1) < 1:
         raise ConfigError("n_angular must be >= 1")
+    if v.get("n_translations", 1) < 1:
+        raise ConfigError("n_translations must be >= 1")
+    if v.get("max_iter", 0) < 0:
+        raise ConfigError("max_iter must be >= 0")
 
 
 def load_config(path: str) -> ExperimentConfig:

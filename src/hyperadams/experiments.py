@@ -82,7 +82,7 @@ def random_ball_profiles(
     base = np.clip(1.0 - (s / s0) ** 2, 0.0, None) ** (k + 3)
     coeffs = rng.uniform(-1.0, 1.0, size=(n, 3))
     values = base * (coeffs[:, [0]] + coeffs[:, [1]] * s**2 + coeffs[:, [2]] * s**4)
-    return RadialFunction(grid, values, support_radius=s0)
+    return RadialFunction(grid, values)
 
 
 # -- individual experiments ---------------------------------------------------
@@ -222,8 +222,7 @@ def run_inequalities(cfg: ExperimentConfig) -> ExperimentReport:
     for dims, profiles, margin_rows in _inequality_margins(cfg):
         rows += margin_rows
         fitted = RadialFunction(profiles.grid, profiles.values[:20])
-        op = gjms_assemble(dims, profiles.grid)
-        calib = fit_linearized_calibration(fitted, delta, dims, operator=op)
+        calib = fit_linearized_calibration(fitted, delta, dims)
         rows.append(
             ("linearized_calibration", dims.k, 0, len(fitted.values), calib, delta)
         )

@@ -197,7 +197,7 @@ def _junction_radius(m: int) -> float:
     return euclidean_to_geodesic(0.5 / math.sqrt(m))
 
 
-def moser_energy_grid(m: int, k: int, degree: int = 6) -> RadialGrid:
+def moser_energy_grid(m: int, degree: int = 6) -> RadialGrid:
     """Flat radial grid on [0, 2] for the profile's k-energy.
 
     Geometric grading from h = (1/sqrt(m))/7 with a forced edge at the outer
@@ -258,7 +258,7 @@ def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
 
     profile = MoserProfile(m, k)
     values = profile.u_tilde(grid.euclidean_nodes, one_minus_s=grid.one_minus_s)
-    profile.samples = RadialFunction(grid, values, support_radius=grid.R_max)
+    profile.samples = RadialFunction(grid, values)
     return profile
 
 
@@ -279,8 +279,8 @@ def moser_energy(profile: MoserProfile, dims: DimensionParams,
     """
     if dims.k != profile.k:
         raise DomainError("dimension parameters do not match the profile")
-    grid = moser_energy_grid(profile.m, profile.k, degree=degree)
-    v = RadialFunction.from_callable(grid, profile.v, 2.0)
+    grid = moser_energy_grid(profile.m, degree=degree)
+    v = RadialFunction.from_callable(grid, profile.v)
     energy = euclidean_gradk_energy(v, dims)
     return MoserEnergy(
         energy=energy,
@@ -305,7 +305,6 @@ class BlowupRecord:
     m: int
     beta: float
     energy: float
-    normalized: bool
     functional_value: float
     predicted_exponent: float
     core_value: float  # the functional restricted to the concentration core
@@ -351,7 +350,6 @@ def blowup_experiment(
                     m=m,
                     beta=float(beta),
                     energy=energy,
-                    normalized=True,
                     functional_value=value,
                     predicted_exponent=float(beta) / (2.0 * profile.M) - k,
                     core_value=_core_functional(core_u, core_dv, float(beta)),

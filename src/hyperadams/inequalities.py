@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .ball import (
     tail_fraction,
 )
 from .errors import DomainError
-from .operators import GJMSOperator, gjms_assemble, gradient_energies, warn_if_truncated
+from .operators import gjms_assemble, gradient_energies, warn_if_truncated
 
 EXP_OVERFLOW_LIMIT = 700.0  # natural-log scale of the double range
 
@@ -94,36 +93,6 @@ def liu_constant(k: int, N: int, convention: str = "sphere") -> float:
     return 2.0 ** (2 * k) * omega_N ** (-2.0 * k / N) / denom
 
 
-@dataclass(frozen=True)
-class SharpConstants:
-    """All closed-form constants for a given (k, N)."""
-
-    k: int
-    N: int
-    beta0: float
-    alpha_N: float
-    M: float
-    A_k: float
-    lambda_k: float | None
-    poincare_base: float
-
-    @classmethod
-    def for_dims(cls, k: int, N: int | None = None, convention: str = "sphere"):
-        if N is None:
-            N = 2 * k
-        lam = liu_constant(k, N, convention) if N > 2 * k else None
-        return cls(
-            k=k,
-            N=N,
-            beta0=beta0(k, N),
-            alpha_N=moser_alpha(N),
-            M=moser_normalizer(k),
-            A_k=owen_constant(k),
-            lambda_k=lam,
-            poincare_base=((N - 1) / 2.0) ** 2,
-        )
-
-
 # -- functional evaluators -----------------------------------------------------
 
 
@@ -150,28 +119,15 @@ def adams_functional(u: RadialFunction, beta: float, dims: DimensionParams) -> f
     return integrate_radial(g, dims)
 
 
-def _family(profiles) -> tuple:
-    """(grid, (P, n) block of values) of a profile family on one grid.
-
-    A family is one RadialFunction, whose (P, n) block holds a profile per
-    row (a single profile is a family of one), or a sequence of profiles."""
-    if isinstance(profiles, RadialFunction):
-        return profiles.grid, np.atleast_2d(profiles.values)
-    grid = profiles[0].grid
-    if any(u.grid is not grid for u in profiles):
-        raise DomainError("a profile family lives on one grid")
-    return grid, np.array([u.values for u in profiles])
-
-
-def poincare_margins(profiles, k: int, dims: DimensionParams) -> np.ndarray:
+def poincare_margins(profiles: RadialFunction, k: int, dims: DimensionParams) -> np.ndarray:
     """Margins of the higher-order Poincare inequality of order k against every
-    l < k, for a family on one grid: row l holds
+    l < k, for a family (a (P, n) block, or one profile): row l holds
     int|grad^k u|^2 - ((N-1)/2)^{2(k-l)} int|grad^l u|^2 for each profile,
     all from one energy chain."""
     if k < 1:
         raise DomainError("need k >= 1")
-    grid, values = _family(profiles)
-    energies = gradient_energies(values, grid, dims, k)
+    values = np.atleast_2d(profiles.values)
+    energies = gradient_energies(values, profiles.grid, dims, k)
     return np.array([
         energies[:, k] - ((dims.N - 1) / 2.0) ** (2 * (k - l)) * energies[:, l]
         for l in range(k)
@@ -191,14 +147,15 @@ def check_poincare_chain(
     return float(poincare_margins(u, k, dims)[l, 0])
 
 
-def owen_margins(profiles, k: int) -> np.ndarray:
+def owen_margins(profiles: RadialFunction, k: int) -> np.ndarray:
     """Margins of the boundary Hardy-Rellich inequality on the unit ball.
 
     Returns int|grad^k u|^2 dx - A(k) int u^2/(1-s)^{2k} dx for each profile
-    of a family compactly supported inside the ball; the weight integral is
-    refused if any member's support reaches the boundary.
+    of a family (a (P, n) block, or one profile) compactly supported inside
+    the ball; the weight integral is refused if any member's support reaches
+    the boundary.
     """
-    grid, values = _family(profiles)
+    grid, values = profiles.grid, np.atleast_2d(profiles.values)
     s = grid.euclidean_nodes
     if np.max(s) > 1.0 + 1e-12:
         raise DomainError("Owen margin is for profiles on the unit ball")
@@ -267,14 +224,10 @@ def scalar_inequality_suite(n_grid: int = 100_001, seed: int = 0) -> dict:
 
 
 def linearized_margins(
-    profiles,
-    delta: float,
-    dims: DimensionParams,
-    calibration: float,
-    operator: GJMSOperator | None = None,
+    profiles: RadialFunction, delta: float, dims: DimensionParams, calibration: float
 ) -> np.ndarray:
-    """Margins of the linearized exponential-moment bound for a family on one
-    grid.
+    """Margins of the linearized exponential-moment bound for a family (a
+    (P, n) block, or one profile).
 
     Each is C(delta) + energy/(beta0 delta) - log int (e^{2u} - 2u - 1) dv_g.
     C(delta) is an empirical calibration (the theory's constant is
@@ -285,10 +238,8 @@ def linearized_margins(
     """
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
-    grid, values = _family(profiles)
-    if operator is None:
-        operator = gjms_assemble(dims, grid)
-    energy = operator.quadratic_form(values)
+    grid, values = profiles.grid, np.atleast_2d(profiles.values)
+    energy = gjms_assemble(dims, grid).quadratic_form(values)
     expo = 2.0 * values
     overflow = np.max(expo, axis=1) > EXP_OVERFLOW_LIMIT
     expo[overflow] = 0.0  # their margin is -inf whatever the integral
@@ -300,25 +251,18 @@ def linearized_margins(
 
 
 def linearized_adams_bound(
-    u: RadialFunction,
-    delta: float,
-    dims: DimensionParams,
-    calibration: float,
-    operator: GJMSOperator | None = None,
+    u: RadialFunction, delta: float, dims: DimensionParams, calibration: float
 ) -> float:
     """Margin of the linearized exponential-moment bound for one profile (see
     ``linearized_margins``)."""
-    return float(linearized_margins(u, delta, dims, calibration, operator)[0])
+    return float(linearized_margins(u, delta, dims, calibration)[0])
 
 
 def fit_linearized_calibration(
-    profiles, delta: float, dims: DimensionParams, operator: GJMSOperator | None = None
+    profiles: RadialFunction, delta: float, dims: DimensionParams
 ) -> float:
-    """Empirical C(delta): sup over the family of log-moment minus the
-    energy term (the fitted constant that makes every margin nonnegative)."""
-    if not isinstance(profiles, RadialFunction):
-        profiles = list(profiles)
-        if not profiles:
-            return -math.inf
-    margins = linearized_margins(profiles, delta, dims, 0.0, operator).tolist()
+    """Empirical C(delta): sup over the family (a (P, n) block, or one
+    profile) of log-moment minus the energy term (the fitted constant that
+    makes every margin nonnegative)."""
+    margins = linearized_margins(profiles, delta, dims, 0.0).tolist()
     return max([-math.inf] + [-margin for margin in margins if margin != math.inf])

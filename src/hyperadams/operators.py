@@ -53,23 +53,6 @@ def _laplacian_parts(dims: DimensionParams, grid: RadialGrid, metric: str):
 
 
 @dataclass
-class DiscreteOperator:
-    """Banded sparse realization of a radial differential operator."""
-
-    grid: RadialGrid
-    matrix: sp.csr_matrix
-    symbol: str
-    order: int
-    mass: np.ndarray = field(repr=False)
-
-    def apply(self, u) -> np.ndarray:
-        return self.matrix @ _values(u)
-
-    def __call__(self, u) -> np.ndarray:
-        return self.apply(u)
-
-
-@dataclass
 class GJMSOperator:
     """Critical GJMS product P_k = (A + sigma_k) ... (A + sigma_1), A = M^{-1} K,
     kept as its second-order factors B_j = K + sigma_j M.
@@ -147,28 +130,22 @@ class GJMSOperator:
         inv_mass_dv = sp.diags(1.0 / (self.dims.omega_Nm1 * self.mass))
         return (inv_mass_dv @ self.energy_matrix).tocsr()
 
-    @property
-    def bandwidth(self) -> int:
-        coo = self.energy_matrix.tocoo()
-        return int(np.max(np.abs(coo.row - coo.col)))
-
     def restrict(self, n: int) -> "GJMSOperator":
         """The same operator on the first n nodes (Dirichlet at the dropped ones)."""
         return GJMSOperator(self.stiffness[:n, :n], self.mass[:n], self.shifts, self.dims)
 
 
-def euclidean_laplacian_radial(dims: DimensionParams, grid: RadialGrid) -> DiscreteOperator:
-    """Radial flat Laplacian Delta f = f'' + (N-1)/s f' as a DiscreteOperator."""
+def euclidean_laplacian_radial(dims: DimensionParams, grid: RadialGrid) -> sp.csr_matrix:
+    """Radial flat Laplacian Delta f = f'' + (N-1)/s f' as a CSR matrix."""
     K, M = _laplacian_parts(dims, grid, "euclidean")
-    L = (-sp.diags(1.0 / M) @ K).tocsr()
-    return DiscreteOperator(grid, L, symbol="euclidean_laplacian", order=2, mass=M)
+    return (-sp.diags(1.0 / M) @ K).tocsr()
 
 
-def hyperbolic_laplacian_radial(dims: DimensionParams, grid: RadialGrid) -> DiscreteOperator:
-    """Radial Laplace-Beltrami Delta_g f = f'' + (N-1) coth(r) f'."""
+def hyperbolic_laplacian_radial(dims: DimensionParams, grid: RadialGrid) -> sp.csr_matrix:
+    """Radial Laplace-Beltrami Delta_g f = f'' + (N-1) coth(r) f' as a CSR
+    matrix."""
     K, M = _laplacian_parts(dims, grid, "hyperbolic")
-    L = (-sp.diags(1.0 / M) @ K).tocsr()
-    return DiscreteOperator(grid, L, symbol="hyperbolic_laplacian", order=2, mass=M)
+    return (-sp.diags(1.0 / M) @ K).tocsr()
 
 
 def hyperbolic_laplacian_coordinate_form(

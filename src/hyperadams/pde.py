@@ -90,7 +90,7 @@ def _rational(amplitude: float = 1.0, power: float = 2.0, **_ignored):
 
 def square_integrable_dv(
     fn: Callable[[np.ndarray], np.ndarray], dims: DimensionParams, r_max: float
-) -> tuple[bool, float]:
+) -> bool:
     """Tail-quadrature check of int fn^2 dv_g < infinity.
 
     Integrates fn^2 against the hyperbolic density on [0, r_max] and on
@@ -114,7 +114,7 @@ def square_integrable_dv(
         )
     growing = blocks[-1] > blocks[0] * 1.000001 and blocks[-1] > 1e-300
     tail_small = blocks[-1] <= 1e-10 * max(base, 1e-300)
-    return (not growing) and tail_small, base + sum(blocks)
+    return (not growing) and tail_small
 
 
 @dataclass
@@ -153,15 +153,13 @@ class PDEProblem:
         q2_fn = radial_family(q2_spec[0], **q2_spec[1])
         if mode == CONVEX:
             diff = lambda r: q2_fn(r) - q1_fn(r)
-            ok, _ = square_integrable_dv(diff, dims, grid.R_max)
-            if not ok:
+            if not square_integrable_dv(diff, dims, grid.R_max):
                 raise DomainError(
                     "convex mode requires Q2 - Q1 square-integrable against dv_g"
                 )
         else:
             for nm, fn in (("Q1", q1_fn), ("Q2", q2_fn)):
-                ok, _ = square_integrable_dv(fn, dims, grid.R_max)
-                if not ok:
+                if not square_integrable_dv(fn, dims, grid.R_max):
                     raise DomainError(
                         f"log-constrained mode requires {nm} square-integrable "
                         "against dv_g"

@@ -172,7 +172,7 @@ def test_criterion_3_poincare_and_owen_margins():
         ball = RadialGrid.euclidean_ball(s_max=1.0, n_elements=30, degree=6)
         family = random_ball_profiles(ball, rng, 100, k)
         owen_m = [
-            check_owen(RadialFunction(ball, row, family.support_radius), k)
+            check_owen(RadialFunction(ball, row), k)
             for row in family.values
         ]
         scale = float(np.max(np.abs(owen_m)))

@@ -172,6 +172,12 @@ class TestCLI:
             "experiment = isometry-2d\nsupport_radius = 0\n",
             "experiment = isometry-2d\nn_radial = 0\n",
             "experiment = isometry-2d\nn_angular = 0\n",
+            "experiment = inequalities\nseed = -1\n",
+            "experiment = isometry-2d\nseed = -1\n",
+            "experiment = solve-pde\nk = 1\nmax_iter = -1\n",
+            "experiment = conformal-identity\nk_list =\n",
+            "experiment = isometry-2d\nn_translations = -2\n",
+            "experiment = constants\nk_max = 172\n",
         ],
         ids=[
             "pde-family",
@@ -190,6 +196,12 @@ class TestCLI:
             "isometry-support_radius",
             "isometry-n_radial",
             "isometry-n_angular",
+            "inequalities-seed",
+            "isometry-seed",
+            "pde-max_iter",
+            "conformal-k_list-empty",
+            "isometry-n_translations",
+            "constants-k_max",
         ],
     )
     def test_out_of_range_value_exit_2_no_output(self, tmp_path, capsys, text, command):

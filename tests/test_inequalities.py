@@ -7,7 +7,6 @@ from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
 from hyperadams.errors import DomainError, NonFiniteSampleError
 from hyperadams.experiments import random_ball_profiles, random_smooth_profiles
 from hyperadams.inequalities import (
-    SharpConstants,
     adams_functional,
     beta0,
     check_owen,
@@ -23,7 +22,7 @@ from hyperadams.inequalities import (
     poincare_margins,
     scalar_inequality_suite,
 )
-from hyperadams.operators import gjms_assemble
+from hyperadams.operators import iterated_gradient_energy
 
 
 class TestSharpConstants:
@@ -76,13 +75,14 @@ class TestSharpConstants:
             liu_constant(2, 4)
         assert liu_constant(1, 3, "ball") != liu_constant(1, 3, "sphere")
 
-    def test_bundle(self):
-        c = SharpConstants.for_dims(2)
-        assert c.lambda_k is None
-        assert c.poincare_base == 2.25
-        assert abs(c.beta0 - 2 * c.M * c.k) < 1e-10
-        c2 = SharpConstants.for_dims(1, N=4)
-        assert c2.lambda_k is not None
+    def test_critical_beta0_and_poincare_base(self, geo_grid):
+        k = 2
+        assert abs(beta0(k, 2 * k) - 2 * moser_normalizer(k) * k) < 1e-10
+        # the k = 1, l = 0 Poincare margin weighs int u^2 by ((N-1)/2)^2 = 2.25
+        dims = DimensionParams(k)
+        u = RadialFunction.from_callable(geo_grid, lambda r: np.exp(-(r**2)))
+        e0, e1 = (iterated_gradient_energy(u, dims, m) for m in (0, 1))
+        assert check_poincare_chain(u, 1, 0, dims) == e1 - 2.25 * e0
 
 
 class TestAdamsFunctional:
@@ -153,6 +153,11 @@ class TestPoincareChain:
             check_poincare_chain(u, 1, 1, dims1)
 
 
+def _scaled_block(u: RadialFunction, factors) -> RadialFunction:
+    """The family t u for t in ``factors``, as one (P, n) block."""
+    return RadialFunction(u.grid, np.outer(factors, u.values))
+
+
 class TestFamilyChecks:
     """The family functions give bitwise the per-profile values, and keep
     every per-profile check."""
@@ -175,7 +180,7 @@ class TestFamilyChecks:
     def test_owen_family_is_bitwise_per_profile(self, k, ball_grid):
         profiles = random_ball_profiles(ball_grid, np.random.default_rng(k), 50, k)
         single = [
-            check_owen(RadialFunction(ball_grid, row, profiles.support_radius), k)
+            check_owen(RadialFunction(ball_grid, row), k)
             for row in profiles.values
         ]
         assert np.array_equal(owen_margins(profiles, k), single)
@@ -185,16 +190,17 @@ class TestFamilyChecks:
         dims = DimensionParams(k)
         grid = RadialGrid.geodesic(r_max=9.0, n_elements=16, degree=6, grading=2.0)
         profiles = random_smooth_profiles(grid, np.random.default_rng(k), 30)
-        op = gjms_assemble(dims, grid)
-        margins = linearized_margins(profiles, 0.9, dims, 0.5, operator=op)
+        margins = linearized_margins(profiles, 0.9, dims, 0.5)
         single = [
-            linearized_adams_bound(RadialFunction(grid, row), 0.9, dims, 0.5, operator=op)
+            linearized_adams_bound(RadialFunction(grid, row), 0.9, dims, 0.5)
             for row in profiles.values
         ]
         assert np.array_equal(margins, single)
-        calib = fit_linearized_calibration(profiles, 0.9, dims, operator=op)
-        rows = [RadialFunction(grid, row) for row in profiles.values]
-        assert calib == fit_linearized_calibration(rows, 0.9, dims, operator=op)
+        calib = fit_linearized_calibration(profiles, 0.9, dims)
+        assert calib == max(
+            -linearized_adams_bound(RadialFunction(grid, row), 0.9, dims, 0.0)
+            for row in profiles.values
+        )
 
     def test_families_sample_as_the_per_profile_loop(self, geo_grid, ball_grid):
         # the block sampling draws and computes exactly what one draw per
@@ -219,25 +225,19 @@ class TestFamilyChecks:
         with pytest.raises(DomainError, match="boundary"):
             owen_margins(family, 1)
 
-    def test_family_on_one_grid(self, geo_grid, dims1):
-        other = RadialGrid.geodesic(r_max=9.0, n_elements=20, degree=6, grading=2.5)
-        family = [RadialFunction(g, np.zeros(g.n_nodes)) for g in (geo_grid, other)]
-        with pytest.raises(DomainError, match="one grid"):
-            poincare_margins(family, 1, dims1)
-
     def test_overflowing_member_makes_calibration_infinite(self, geo_grid, dims1):
         base = RadialFunction.from_callable(geo_grid, lambda r: np.exp(-(r**2)))
-        family = [base.scaled(t) for t in (0.5, 1.0, 400.0)]  # 2u reaches 800
+        family = _scaled_block(base, (0.5, 1.0, 400.0))  # 2u reaches 800
         assert linearized_margins(family, 0.9, dims1, 0.0)[2] == -math.inf
         assert fit_linearized_calibration(family, 0.9, dims1) == math.inf
 
     def test_zero_member_leaves_calibration(self, dims1):
         grid = RadialGrid.geodesic(r_max=9.0, n_elements=20, degree=6, grading=2.0)
         base = RadialFunction.from_callable(grid, lambda r: np.exp(-(r**2)))
-        family = [base.scaled(0.5), base.scaled(1.0)]
-        zero = RadialFunction(grid, np.zeros(grid.n_nodes))
+        family = _scaled_block(base, (0.5, 1.0))
+        with_zero = _scaled_block(base, (0.5, 0.0, 1.0))
         calib = fit_linearized_calibration(family, 0.9, dims1)
-        assert calib == fit_linearized_calibration([family[0], zero, family[1]], 0.9, dims1)
+        assert calib == fit_linearized_calibration(with_zero, 0.9, dims1)
         assert calib == 1.4084148500644436
 
 
@@ -256,7 +256,7 @@ class TestOwen:
         fine = RadialGrid.euclidean_ball(s_max=1.0, n_elements=40, degree=6, grading=1.5)
         family = random_ball_profiles(fine, rng, 50, k)
         margins = [
-            check_owen(RadialFunction(fine, row, family.support_radius), k)
+            check_owen(RadialFunction(fine, row), k)
             for row in family.values
         ]
         scale = float(np.max(np.abs(margins)))
@@ -291,13 +291,13 @@ class TestLinearizedBound:
         assert linearized_adams_bound(u, 0.5, dims1, calibration=0.0) == math.inf
 
     def test_scaled_family_bounded(self, geo_grid, dims1):
-        op = gjms_assemble(dims1, geo_grid)
         base = RadialFunction.from_callable(geo_grid, lambda r: np.exp(-(r**2)))
-        family = [base.scaled(t) for t in np.linspace(0.1, 3.0, 12)]
-        calib = fit_linearized_calibration(family, 0.9, dims1, operator=op)
+        family = _scaled_block(base, np.linspace(0.1, 3.0, 12))
+        calib = fit_linearized_calibration(family, 0.9, dims1)
         assert math.isfinite(calib)
         margins = [
-            linearized_adams_bound(u, 0.9, dims1, calib, operator=op) for u in family
+            linearized_adams_bound(RadialFunction(geo_grid, row), 0.9, dims1, calib)
+            for row in family.values
         ]
         assert min(margins) >= -1e-9
 
@@ -310,8 +310,7 @@ class TestLinearizedBound:
             profiles.append(build_moser_profile(m, 1, grid).samples)
         calibs = []
         for u in profiles:
-            op = gjms_assemble(dims1, u.grid)
-            calibs.append(-linearized_adams_bound(u, 0.9, dims1, 0.0, operator=op))
+            calibs.append(-linearized_adams_bound(u, 0.9, dims1, 0.0))
         # the fitted constant stays bounded along the concentrating family
         assert max(calibs) < 10.0
 
