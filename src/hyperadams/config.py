@@ -178,8 +178,8 @@ def _check_ranges(experiment: str, v: dict) -> None:
         raise ConfigError("k must be >= 1")
     if "k_max" in v and v["k_max"] < 1:
         raise ConfigError("k_max must be >= 1")
-    if experiment == "constants" and v["k_max"] > 171:  # 171! is the last finite double
-        raise ConfigError("k_max must be <= 171")
+    if experiment == "constants" and v["k_max"] > 112:  # beta0(113, 226) overflows a double
+        raise ConfigError("k_max must be <= 112")
     if "k_list" in v and not v["k_list"]:
         raise ConfigError("k_list must be non-empty")
     if any(k < 1 for k in v.get("k_list", ())):

@@ -24,7 +24,7 @@ from .ball import (
     squared_norm,
 )
 from .config import ExperimentConfig
-from .errors import ConfigError, DiscretizationError, DomainError
+from .errors import ConfigError, DiscretizationError, DomainError, FeasibilityError
 from .extremals import blowup_experiment, blowup_slopes, sobolev_upper_experiment
 from .inequalities import (
     beta0,
@@ -37,6 +37,7 @@ from .inequalities import (
     poincare_margins,
     scalar_inequality_suite,
 )
+from .mesh import graded_edges
 from .operators import SCHEME_ORDER, euclidean_gradk_energy, gjms_assemble
 from .pde import CONVEX, PDEProblem, solve_convex, solve_log_constrained
 from .reporting import ExperimentReport
@@ -50,10 +51,17 @@ BUMPS = {
 
 
 def _grid(params: dict, n_elements: int | None = None) -> RadialGrid:
-    """Geodesic grid from the config's grid keys."""
+    """Geodesic grid from the config's grid keys; a grading whose edges
+    r_max (j/n)^grading round to equal values is a configuration error."""
+    n_elements = n_elements or params["n_elements"]
+    if not np.all(np.diff(graded_edges(params["r_max"], n_elements, params["grading"])) > 0):
+        raise ConfigError(
+            f"grading = {params['grading']!r} makes graded grid edges coincide "
+            f"at {n_elements} elements"
+        )
     return RadialGrid.geodesic(
         r_max=params["r_max"],
-        n_elements=n_elements or params["n_elements"],
+        n_elements=n_elements,
         degree=params["poly_degree"],
         grading=params["grading"],
     )
@@ -335,7 +343,10 @@ def _pde_problem(cfg: ExperimentConfig) -> PDEProblem:
 def run_solve_pde(cfg: ExperimentConfig) -> ExperimentReport:
     problem = _pde_problem(cfg)
     solve = solve_convex if problem.mode == CONVEX else solve_log_constrained
-    result = solve(problem, tol=cfg.params["tol"], max_iter=cfg.params["max_iter"])
+    try:
+        result = solve(problem, tol=cfg.params["tol"], max_iter=cfg.params["max_iter"])
+    except FeasibilityError as exc:  # log mode with Q2 = 0 at every node: no admissible data
+        raise ConfigError(str(exc)) from None
     rows = [
         (
             cfg.params["mode"],

@@ -117,7 +117,11 @@ class GJMSOperator:
     @cached_property
     def energy_matrix(self) -> sp.csr_matrix:
         """omega B_1 M^{-1} B_2 ... M^{-1} B_k = omega M P_k, symmetric
-        positive semidefinite (definite under a Dirichlet restriction)."""
+        positive semidefinite (definite under a Dirichlet restriction).
+
+        The sparse product order fixes the (unsorted) column order of each
+        row, hence the summation order of every entry and of ``H0 @ u`` in
+        the PDE solver; the k = 2 solver certificate depends on those bits."""
         Minv = sp.diags(1.0 / self.mass)
         weighted = self.factor_matrix(0)
         for j in range(1, len(self.shifts)):

@@ -26,8 +26,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs, solveh_banded
 
 from .ball import DimensionParams, RadialFunction, RadialGrid, volume_weight
 from .errors import (
@@ -41,6 +40,8 @@ from .operators import gjms_assemble
 
 CONVEX = "convex"
 LOG_CONSTRAINED = "log-constrained"
+
+(_gbsv,) = get_lapack_funcs(("gbsv",), dtype=np.float64)
 
 _FAMILIES = {}
 
@@ -196,17 +197,29 @@ class _Discretization:
         self.mass_dv = problem.dims.omega_Nm1 * self.op.mass  # discrete dv_g weights
         self.Q1 = problem.Q1.values[: self.n]
         self.Q2 = problem.Q2.values[: self.n]
+        self.Q = self.Q2 - self.Q1
         self.grid = grid
 
     @cached_property
     def band(self) -> np.ndarray:
         """H0 in LAPACK general band storage (2 bw + 1, n):
-        band[bw + i - j, j] = H0[i, j], built from H0 on first use."""
-        dia = self.H0.todia()
-        bw = int(np.max(np.abs(dia.offsets)))
+        band[bw + i - j, j] = H0[i, j], filled from H0's CSR arrays on
+        first use."""
+        H0 = self.H0
+        i = np.repeat(np.arange(self.n), np.diff(H0.indptr))
+        offset = i - H0.indices
+        bw = int(np.max(np.abs(offset)))
         band = np.zeros((2 * bw + 1, self.n))
-        band[bw - dia.offsets] = dia.data[:, : self.n]
+        band[bw + offset, H0.indices] = H0.data
         return band
+
+    @cached_property
+    def row_scale_index(self) -> np.ndarray:
+        """(2 bw + 1, n) index of the row scale of each band entry into
+        1/d zero-padded by bw on both ends: entry (r, j) holds row
+        i = r + j - bw."""
+        bw = self.bandwidth
+        return np.arange(2 * bw + 1)[:, None] + np.arange(self.n)
 
     @property
     def bandwidth(self) -> int:
@@ -252,9 +265,8 @@ def _J_value(u: np.ndarray, disc: _Discretization, strict: bool = False) -> floa
     e2u = _exp2u(u, strict)
     if e2u is None:
         return math.inf
-    Q = disc.Q2 - disc.Q1
     quad = 0.5 * float(u @ (disc.H0 @ u))
-    linear = disc.dv_dot(Q, u)
+    linear = disc.dv_dot(disc.Q, u)
     nonlinear = 0.5 * disc.dv_dot(disc.Q2, e2u - 2.0 * u - 1.0)
     return quad - linear - nonlinear
 
@@ -302,19 +314,27 @@ def _band_solve(
     disc: _Discretization, c: float, diag: np.ndarray, b: np.ndarray, w: np.ndarray | None
 ) -> np.ndarray:
     """Solve (A + w w^T) x = b, where A is c H0 with its main diagonal
-    replaced by ``diag``, by one LU with partial pivoting of the
-    symmetrically scaled band of A (the scaling keeps the axis rows
+    replaced by ``diag``, by one LU with partial pivoting (LAPACK gbsv) of
+    the symmetrically scaled band of A (the scaling keeps the axis rows
     harmless) and Sherman-Morrison for the rank-one term."""
-    bw = disc.bandwidth
-    ab = c * disc.band
-    ab[bw] = diag
+    bw, n = disc.bandwidth, disc.n
+    ab = np.empty((3 * bw + 1, n))  # the top bw rows take the LU fill-in
+    ab[:bw] = 0.0
+    lower = ab[bw:]
+    np.multiply(c, disc.band, out=lower)
+    lower[bw] = diag
     d = np.sqrt(np.abs(diag))
     d[d == 0] = 1.0
-    inv = 1.0 / d
-    ab *= sliding_window_view(np.pad(inv, bw), disc.n)  # row i of entry (i, j)
-    ab *= inv  # column j
-    rhs = b / d if w is None else np.stack([b / d, w / d], axis=1)
-    x = solve_banded((bw, bw), ab, rhs, overwrite_ab=True, check_finite=False)
+    inv = np.zeros(n + 2 * bw)
+    inv[bw : bw + n] = 1.0 / d
+    lower *= inv[disc.row_scale_index]  # row i of entry (i, j)
+    lower *= inv[bw : bw + n]  # column j
+    rhs = b / d if w is None else np.array([b / d, w / d]).T
+    _, _, x, info = _gbsv(bw, bw, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
     if w is None:
         return x / d
     x, z = x.T / d

@@ -211,6 +211,60 @@ class TestCLI:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "experiment = conformal-identity\ngrading = 300\n",
+                "grading = 300.0 makes graded grid edges coincide at 24 elements",
+            ),
+            (
+                "experiment = conformal-identity\ngrading = 1e-300\n",
+                "grading = 1e-300 makes graded grid edges coincide",
+            ),
+            (
+                "experiment = inequalities\ngrading = 300\n",
+                "grading = 300.0 makes graded grid edges coincide",
+            ),
+            (
+                "experiment = solve-pde\nk = 1\ngrading = inf\n",
+                "grading = inf makes graded grid edges coincide",
+            ),
+            (
+                "experiment = solve-pde\nk = 1\nmode = log-constrained\nq2_amplitude = 0\n",
+                "no starting profile with positive int Q2 (e^{2u} - 1) dv_g found",
+            ),
+        ],
+        ids=[
+            "conformal-grading-large",
+            "conformal-grading-tiny",
+            "inequalities-grading-large",
+            "pde-grading-inf",
+            "pde-log-q2-zero",
+        ],
+    )
+    def test_data_rejected_at_grid_or_start_exit_2_no_output(
+        self, tmp_path, capsys, text, message, command
+    ):
+        cfg = write(tmp_path, "bad.cfg", text)
+        out = tmp_path / "out"
+        assert main([command, cfg, "--out", str(out)]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_constants_k_max_bound_keeps_every_cell_finite(self, tmp_path, capsys):
+        # beta0(113, 226) and the closed forms overflow; 112 is the last
+        # order whose row is finite
+        cfg = write(tmp_path, "c.cfg", "experiment = constants\nk_max = 113\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "bad")]) == 2
+        assert "configuration error: k_max must be <= 112" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+        cfg = write(tmp_path, "c.cfg", "experiment = constants\nk_max = 112\n")
+        assert main(["run", cfg, "--out", str(tmp_path)]) == 0
+        body = (tmp_path / "constants.csv").read_text().lower()
+        assert "inf" not in body and "nan" not in body
+
     @pytest.mark.parametrize(
         "text",
         [

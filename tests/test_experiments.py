@@ -7,6 +7,7 @@ import pytest
 import hyperadams.experiments as experiments
 from hyperadams.ball import DimensionParams, DiskGrid, RadialFunction, RadialGrid, pushforward_2d
 from hyperadams.config import validate_config
+from hyperadams.errors import ConfigError
 
 
 def _config(**items):
@@ -119,3 +120,12 @@ class TestIsometry:
                 np.max(np.abs(lap_true))
             )
             assert row == (row[0], row[1], base, moved, abs(moved - base) / base, lap_dev)
+
+
+class TestGrid:
+    def test_coinciding_edges_at_a_refined_level_rejected(self):
+        # (1/24)^230 is a subnormal, (1/96)^230 underflows to 0
+        params = _config(experiment="inequalities", grading=230).params
+        assert experiments._grid(params).n_nodes == 24 * 6 + 1
+        with pytest.raises(ConfigError, match="grading = 230.0 .* at 96 elements"):
+            experiments._grid(params, 96)

@@ -198,6 +198,84 @@ class TestRestrictedOperator:
         assert np.array_equal(disc.band[(bw + i - j)[inside], j[inside]], H[inside])
 
 
+def todia_band(disc):
+    """H0's band storage placed through scipy's DIA conversion."""
+    dia = disc.H0.todia()
+    bw = int(np.max(np.abs(dia.offsets)))
+    band = np.zeros((2 * bw + 1, disc.n))
+    band[bw - dia.offsets] = dia.data[:, : disc.n]
+    return band
+
+
+def solve_banded_step(disc, c, diag, b, w):
+    """The scaled band step through scipy.linalg.solve_banded."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    from scipy.linalg import solve_banded
+
+    bw = disc.bandwidth
+    ab = c * disc.band
+    ab[bw] = diag
+    d = np.sqrt(np.abs(diag))
+    d[d == 0] = 1.0
+    inv = 1.0 / d
+    ab *= sliding_window_view(np.pad(inv, bw), disc.n)
+    ab *= inv
+    rhs = b / d if w is None else np.stack([b / d, w / d], axis=1)
+    x = solve_banded((bw, bw), ab, rhs, overwrite_ab=True, check_finite=False)
+    if w is None:
+        return x / d
+    x, z = x.T / d
+    return x - z * (w @ x) / (1.0 + w @ z)
+
+
+def band_step_inputs(pde_grid, k, mode, lam):
+    """A discretization and a Hessian (c, diag, w) with right-hand side b of
+    the kind the Newton driver solves."""
+    sign = -1.0 if mode == CONVEX else 1.0
+    prob = make_problem(
+        pde_grid, k, lambda r: np.exp(-(r**2)), lambda r: sign * np.exp(-(r**2)), mode
+    )
+    disc = _Discretization(prob)
+    q2e = disc.mass_dv * disc.Q2 * np.exp(2.0 * np.exp(-disc.grid.geodesic_nodes[: disc.n]))
+    if mode == CONVEX:
+        c, v, w = 1.0, -2.0 * q2e, None
+    else:
+        G = float(np.sum(q2e))
+        c, v, w = 2.0, -4.0 * q2e / G, 2.0 * q2e / G
+    diag = c * disc.band[disc.bandwidth] + v
+    diag = diag + lam * np.max(np.abs(diag)) * disc.mass_dv
+    b = -disc.mass_dv * np.cos(disc.grid.geodesic_nodes[: disc.n])
+    return disc, c, diag, b, w
+
+
+class TestBandStorageFill:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n_elements, degree", [(24, 4), (40, 6), (7, 2)])
+    def test_band_from_csr_equals_todia(self, k, n_elements, degree):
+        grid = RadialGrid.geodesic(r_max=12.0, n_elements=n_elements, degree=degree, grading=1.5)
+        disc = _Discretization(make_problem(grid, k, lambda r: 0 * r, lambda r: 0 * r))
+        expected = todia_band(disc)
+        assert disc.band.shape == expected.shape
+        assert np.array_equal(disc.band, expected)
+        assert disc.band.tobytes() == expected.tobytes()  # signed zeros too
+
+
+class TestBandStepBitwise:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", [CONVEX, LOG_CONSTRAINED])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_gbsv_step_equals_solve_banded(self, k, mode, lam, pde_grid):
+        disc, c, diag, b, w = band_step_inputs(pde_grid, k, mode, lam)
+        assert np.array_equal(
+            _band_solve(disc, c, diag, b, w), solve_banded_step(disc, c, diag, b, w)
+        )
+
+    def test_singular_band_raises(self, pde_grid):
+        disc, c, diag, b, w = band_step_inputs(pde_grid, 1, CONVEX, 0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _band_solve(disc, 0.0, np.zeros(disc.n), b, None)
+
+
 class TestBandStep:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("mode", [CONVEX, LOG_CONSTRAINED])
