@@ -178,6 +178,12 @@ class TestCLI:
             "experiment = conformal-identity\nk_list =\n",
             "experiment = isometry-2d\nn_translations = -2\n",
             "experiment = constants\nk_max = 172\n",
+            "experiment = constants\nk_max = 113\n",
+            "experiment = conformal-identity\ngrading = 300\n",
+            "experiment = conformal-identity\ngrading = 1e-300\n",
+            "experiment = inequalities\ngrading = 300\n",
+            "experiment = solve-pde\nk = 1\ngrading = inf\n",
+            "experiment = solve-pde\nk = 1\nmode = log-constrained\nq2_amplitude = 0\n",
         ],
         ids=[
             "pde-family",
@@ -202,6 +208,12 @@ class TestCLI:
             "conformal-k_list-empty",
             "isometry-n_translations",
             "constants-k_max",
+            "constants-k_max-overflow",
+            "conformal-grading-edges-underflow",
+            "conformal-grading-edges-round-to-r_max",
+            "inequalities-grading-edges-underflow",
+            "pde-grading-inf",
+            "pde-log-q2-zero",
         ],
     )
     def test_out_of_range_value_exit_2_no_output(self, tmp_path, capsys, text, command):
@@ -211,55 +223,8 @@ class TestCLI:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "converge"])
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            (
-                "experiment = conformal-identity\ngrading = 300\n",
-                "grading = 300.0 makes graded grid edges coincide at 24 elements",
-            ),
-            (
-                "experiment = conformal-identity\ngrading = 1e-300\n",
-                "grading = 1e-300 makes graded grid edges coincide",
-            ),
-            (
-                "experiment = inequalities\ngrading = 300\n",
-                "grading = 300.0 makes graded grid edges coincide",
-            ),
-            (
-                "experiment = solve-pde\nk = 1\ngrading = inf\n",
-                "grading = inf makes graded grid edges coincide",
-            ),
-            (
-                "experiment = solve-pde\nk = 1\nmode = log-constrained\nq2_amplitude = 0\n",
-                "no starting profile with positive int Q2 (e^{2u} - 1) dv_g found",
-            ),
-        ],
-        ids=[
-            "conformal-grading-large",
-            "conformal-grading-tiny",
-            "inequalities-grading-large",
-            "pde-grading-inf",
-            "pde-log-q2-zero",
-        ],
-    )
-    def test_data_rejected_at_grid_or_start_exit_2_no_output(
-        self, tmp_path, capsys, text, message, command
-    ):
-        cfg = write(tmp_path, "bad.cfg", text)
-        out = tmp_path / "out"
-        assert main([command, cfg, "--out", str(out)]) == 2
-        assert f"configuration error: {message}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_constants_k_max_bound_keeps_every_cell_finite(self, tmp_path, capsys):
-        # beta0(113, 226) and the closed forms overflow; 112 is the last
-        # order whose row is finite
-        cfg = write(tmp_path, "c.cfg", "experiment = constants\nk_max = 113\n")
-        assert main(["run", cfg, "--out", str(tmp_path / "bad")]) == 2
-        assert "configuration error: k_max must be <= 112" in capsys.readouterr().err
-        assert not (tmp_path / "bad").exists()
+    def test_constants_at_largest_k_max_has_finite_cells(self, tmp_path):
+        # from k = 113 on beta0(k, 2k) and the closed forms overflow
         cfg = write(tmp_path, "c.cfg", "experiment = constants\nk_max = 112\n")
         assert main(["run", cfg, "--out", str(tmp_path)]) == 0
         body = (tmp_path / "constants.csv").read_text().lower()
