@@ -271,7 +271,7 @@ class TestBandStepBitwise:
         )
 
     def test_singular_band_raises(self, pde_grid):
-        disc, c, diag, b, w = band_step_inputs(pde_grid, 1, CONVEX, 0.0)
+        disc, _, _, b, _ = band_step_inputs(pde_grid, 1, CONVEX, 0.0)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             _band_solve(disc, 0.0, np.zeros(disc.n), b, None)
 
