@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    DiscretizationError,
     DomainError,
     NonFiniteSampleError,
     UnsupportedDimensionError,
@@ -220,12 +221,21 @@ class RadialGrid:
 
     def _hyperbolic_density(self, dims: DimensionParams) -> np.ndarray:
         if self.coordinate == GEODESIC:
-            return volume_weight(self._r, dims)
+            return self._finite_weight(volume_weight(self._r, dims))
         if np.any(self._s >= 1.0):
             raise DomainError("hyperbolic measure undefined for s >= 1")
         s, oms = self._s, self.one_minus_s
         one_minus_s2 = oms * (1.0 + s)
         return dims.omega_Nm1 * s ** (dims.N - 1) * (2.0 / one_minus_s2) ** dims.N
+
+    def _finite_weight(self, weight: np.ndarray) -> np.ndarray:
+        """A sinh^{N-1} r weight at the nodes; an overflow would make integrals NaN."""
+        if not np.all(np.isfinite(weight)):
+            raise DiscretizationError(
+                "hyperbolic volume weight sinh^(N-1) r overflows below "
+                f"r_max = {self.R_max:g}; lower r_max"
+            )
+        return weight
 
     def euclidean_density(self, dims: DimensionParams) -> np.ndarray:
         """Per-node density for the flat measure int_{B} f dx (radial form)."""
@@ -258,7 +268,7 @@ class RadialGrid:
             if self.coordinate != GEODESIC:
                 raise DomainError("hyperbolic operators require a geodesic grid")
             r = self._r
-            c = np.sinh(r) ** (N - 1)
+            c = self._finite_weight(np.sinh(r) ** (N - 1))
             return c, c, lambda t: np.sinh(t) ** (N - 1)
         if metric == "euclidean":
             if self.coordinate == EUCLIDEAN:

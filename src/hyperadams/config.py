@@ -7,9 +7,12 @@ computation runs, and unknown keys are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from math import inf
 
 from .errors import ConfigError
+
 
 def _int(x: str) -> int:
     try:
@@ -33,77 +36,99 @@ def _float_list(x: str) -> tuple:
     return tuple(_float(part.strip()) for part in x.split(",") if part.strip())
 
 
-def _str(x: str) -> str:
-    return x
+# schema: key -> (parser, default or REQUIRED, (valid, meaning)).  Each valid
+# is false for NaN (a chained comparison is) and for +-inf, and a rejected
+# value is reported as "<key> must be <meaning>".
+REQUIRED = object()
+_ANY = (lambda x: True, "")
+_FINITE = (lambda x: -inf < x < inf, "finite")
+_POSITIVE = (lambda x: 0 < x < inf, "positive and finite")
 
 
-# schema: key -> (parser, required, default)
-_GRID_KEYS = {
-    "n_elements": (_int, False, 24),
-    "poly_degree": (_int, False, 6),
-    "r_max": (_float, False, 9.0),
-    "grading": (_float, False, 2.0),
-}
+def _at_least(n: int) -> tuple:
+    return (lambda x: x >= n, f">= {n}")
+
+
+def _list_of(valid: tuple) -> tuple:
+    each, meaning = valid
+    return (lambda xs: bool(xs) and all(map(each, xs)), f"a non-empty list, each {meaning}")
+
+
+def _grid_keys(n_elements: int, poly_degree: int, r_max: float, grading: float) -> dict:
+    """The geodesic grid keys read by ``experiments._grid``."""
+    return {
+        "n_elements": (_int, n_elements, _at_least(1)),
+        "poly_degree": (_int, poly_degree, _at_least(2)),
+        "r_max": (_float, r_max, _POSITIVE),
+        "grading": (_float, grading, _POSITIVE),
+    }
+
+
+def _source_keys(q: str, amplitude: float) -> dict:
+    """One solve-pde source term; its family checks the rest of its domain."""
+    return {
+        f"{q}_family": (str, "gaussian", _ANY),
+        f"{q}_amplitude": (_float, amplitude, _FINITE),
+        f"{q}_width": (_float, 1.0, _FINITE),
+        f"{q}_radius": (_float, 2.0, _FINITE),
+        f"{q}_power": (_float, 2.0, _FINITE),
+    }
+
+
+_K = (_int, REQUIRED, _at_least(1))
+_M_LIST = (_int_list, REQUIRED, _list_of(_at_least(2)))
+_DEGREE = (_int, 6, _at_least(2))
 
 _COMMON = {
-    "experiment": (_str, True, None),
-    "seed": (_int, False, 0),
-    "output": (_str, False, None),
+    "experiment": (str, REQUIRED, _ANY),
+    "seed": (_int, 0, _at_least(0)),  # numpy's generators take only non-negative seeds
+    "output": (str, None, _ANY),
 }
 
 SCHEMAS = {
-    "constants": {
-        "k_max": (_int, False, 8),
+    "constants": {  # from k = 113 on beta0(k, 2k) overflows a double
+        "k_max": (_int, 8, (lambda x: 1 <= x <= 112, "in [1, 112]")),
     },
     "conformal-identity": {
-        **_GRID_KEYS,
-        "k_list": (_int_list, False, (1, 2, 3)),
-        "levels": (_int, False, 3),
+        **_grid_keys(24, 6, 9.0, 2.0),
+        # the flat oracle grid ends at s = tanh(r_max/2); one ulp below 1 its last
+        # node rounds to s = 1, where the geodesic radius is undefined
+        "r_max": (_float, 9.0, (lambda x: 0 < x and math.tanh(x / 2) < math.nextafter(1, 0),
+                                "positive with tanh(r_max/2) < 1 - 2^-53 (up to about 37)")),
+        "k_list": (_int_list, (1, 2, 3), _list_of(_at_least(1))),
+        "levels": (_int, 3, _at_least(2)),
     },
     "inequalities": {
-        **_GRID_KEYS,
-        "k_max": (_int, False, 3),
-        "n_profiles": (_int, False, 100),
-        "delta": (_float, False, 0.9),
+        **_grid_keys(24, 6, 9.0, 2.0),
+        "k_max": (_int, 3, _at_least(1)),
+        "n_profiles": (_int, 100, _at_least(2)),
+        "delta": (_float, 0.9, (lambda x: 0 < x < 1, "in (0, 1)")),
     },
     "blowup": {
-        "k": (_int, True, None),
-        "beta_list": (_float_list, True, None),
-        "m_list": (_int_list, True, None),
-        "poly_degree": (_int, False, 6),
-        "r_max": (_float, False, 0.0),  # 0 -> per-k default
+        "k": _K,
+        "beta_list": (_float_list, REQUIRED, _list_of(_POSITIVE)),
+        "m_list": _M_LIST,
+        "poly_degree": _DEGREE,
+        "r_max": (_float, 0.0, (lambda x: 0 <= x < inf,
+                                "0 (the per-k default) or positive and finite")),
     },
-    "sobolev-asymptotics": {
-        "k": (_int, True, None),
-        "m_list": (_int_list, True, None),
-        "poly_degree": (_int, False, 6),
-    },
+    "sobolev-asymptotics": {"k": _K, "m_list": _M_LIST, "poly_degree": _DEGREE},
     "solve-pde": {
-        "n_elements": (_int, False, 20),
-        "poly_degree": (_int, False, 4),
-        "r_max": (_float, False, 12.0),
-        "grading": (_float, False, 1.5),
-        "k": (_int, True, None),
-        "mode": (_str, False, "convex"),
-        "q1_family": (_str, False, "gaussian"),
-        "q1_amplitude": (_float, False, 1.0),
-        "q1_width": (_float, False, 1.0),
-        "q1_radius": (_float, False, 2.0),
-        "q1_power": (_float, False, 2.0),
-        "q2_family": (_str, False, "gaussian"),
-        "q2_amplitude": (_float, False, -1.0),
-        "q2_width": (_float, False, 1.0),
-        "q2_radius": (_float, False, 2.0),
-        "q2_power": (_float, False, 2.0),
-        "tol": (_float, False, 1e-8),
-        "max_iter": (_int, False, 80),
+        **_grid_keys(20, 4, 12.0, 1.5),
+        "k": _K,
+        "mode": (str, "convex", (lambda x: x in ("convex", "log-constrained"),
+                                  "'convex' or 'log-constrained'")),
+        **_source_keys("q1", 1.0),
+        **_source_keys("q2", -1.0),
+        "tol": (_float, 1e-8, _POSITIVE),
+        "max_iter": (_int, 80, _at_least(0)),
     },
     "isometry-2d": {
-        "n_radial": (_int, False, 72),
-        "n_angular": (_int, False, 96),
-        "n_translations": (_int, False, 10),
-        "b_max": (_float, False, 0.5),
-        "support_radius": (_float, False, 0.35),
+        "n_radial": (_int, 72, _at_least(1)),
+        "n_angular": (_int, 96, _at_least(1)),
+        "n_translations": (_int, 10, _at_least(1)),
+        "b_max": (_float, 0.5, (lambda x: 0 <= x < 1, "in [0, 1)")),  # tau_b needs |b| < 1
+        "support_radius": (_float, 0.35, (lambda x: 0 < x < 1, "in (0, 1)")),
     },
 }
 
@@ -147,84 +172,24 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("missing required key 'experiment'")
     experiment = raw["experiment"]
     if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}"
-        )
+        raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
     schema = {**_COMMON, **SCHEMAS[experiment]}
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys for {experiment!r}: {sorted(unknown)}")
     values = {}
-    for key, (parser, required, default) in schema.items():
+    for key, (parser, default, (valid, meaning)) in schema.items():
         if key in raw:
             values[key] = parser(raw[key])
-        elif required:
+            if not valid(values[key]):
+                raise ConfigError(f"{key} must be {meaning}")
+        elif default is REQUIRED:
             raise ConfigError(f"missing required key {key!r} for {experiment!r}")
         else:
             values[key] = default
-    seed = values.pop("seed")
-    output = values.pop("output")
+    seed, output = values.pop("seed"), values.pop("output")
     values.pop("experiment")
-    if seed < 0:  # numpy's generators take only non-negative seeds
-        raise ConfigError("seed must be >= 0")
-    _check_ranges(experiment, values)
-    return ExperimentConfig(
-        experiment=experiment, params=values, seed=seed, output=output
-    )
-
-
-def _check_ranges(experiment: str, v: dict) -> None:
-    if "k" in v and v["k"] < 1:
-        raise ConfigError("k must be >= 1")
-    if "k_max" in v and v["k_max"] < 1:
-        raise ConfigError("k_max must be >= 1")
-    if experiment == "constants" and v["k_max"] > 112:  # beta0(113, 226) overflows a double
-        raise ConfigError("k_max must be <= 112")
-    if "k_list" in v and not v["k_list"]:
-        raise ConfigError("k_list must be non-empty")
-    if any(k < 1 for k in v.get("k_list", ())):
-        raise ConfigError("every k in k_list must be >= 1")
-    if v.get("levels", 2) < 2:
-        raise ConfigError("levels must be >= 2")
-    if v.get("n_profiles", 2) < 2:
-        raise ConfigError("n_profiles must be >= 2")
-    if v.get("n_elements", 1) < 1:
-        raise ConfigError("n_elements must be >= 1")
-    if v.get("poly_degree", 2) < 2:
-        raise ConfigError("poly_degree must be >= 2")
-    if "grading" in v:  # the geodesic grid keys
-        if not v["r_max"] > 0:
-            raise ConfigError("r_max must be positive")
-        if not v["grading"] > 0:
-            raise ConfigError("grading must be positive")
-    elif v.get("r_max", 0.0) < 0:  # blowup reads 0 as the per-k default
-        raise ConfigError("r_max must be >= 0")
-    if "m_list" in v:
-        if not v["m_list"]:
-            raise ConfigError("m_list must be non-empty")
-        if any(m < 2 for m in v["m_list"]):
-            raise ConfigError("every m must be >= 2")
-    if "beta_list" in v:
-        if not v["beta_list"]:
-            raise ConfigError("beta_list must be non-empty")
-        if any(b <= 0 for b in v["beta_list"]):
-            raise ConfigError("every beta must be positive")
-    if "mode" in v and v["mode"] not in ("convex", "log-constrained"):
-        raise ConfigError("mode must be 'convex' or 'log-constrained'")
-    if "delta" in v and not (0 < v["delta"] < 1):
-        raise ConfigError("delta must lie in (0, 1)")
-    if "b_max" in v and not (0 <= v["b_max"] < 1):  # tau_b needs |b| < 1
-        raise ConfigError("b_max must lie in [0, 1)")
-    if "support_radius" in v and not (0 < v["support_radius"] < 1):
-        raise ConfigError("support_radius must lie in (0, 1)")
-    if v.get("n_radial", 1) < 1:
-        raise ConfigError("n_radial must be >= 1")
-    if v.get("n_angular", 1) < 1:
-        raise ConfigError("n_angular must be >= 1")
-    if v.get("n_translations", 1) < 1:
-        raise ConfigError("n_translations must be >= 1")
-    if v.get("max_iter", 0) < 0:
-        raise ConfigError("max_iter must be >= 0")
+    return ExperimentConfig(experiment=experiment, params=values, seed=seed, output=output)
 
 
 def load_config(path: str) -> ExperimentConfig:

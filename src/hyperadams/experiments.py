@@ -25,7 +25,12 @@ from .ball import (
 )
 from .config import ExperimentConfig
 from .errors import ConfigError, DiscretizationError, DomainError, FeasibilityError
-from .extremals import blowup_experiment, blowup_slopes, sobolev_upper_experiment
+from .extremals import (
+    blowup_experiment,
+    blowup_slopes,
+    moser_first_width,
+    sobolev_upper_experiment,
+)
 from .inequalities import (
     beta0,
     fit_linearized_calibration,
@@ -257,6 +262,9 @@ def run_inequalities(cfg: ExperimentConfig) -> ExperimentReport:
 def run_blowup(cfg: ExperimentConfig) -> ExperimentReport:
     k = cfg.params["k"]
     r_max = cfg.params["r_max"] or None
+    h0 = moser_first_width(min(cfg.params["m_list"]))  # the smallest m's is the widest
+    if 0 < cfg.params["r_max"] <= h0:
+        raise ConfigError(f"r_max = {r_max!r} must exceed the first element width {h0:.4g}")
     records = blowup_experiment(
         cfg.params["beta_list"],
         cfg.params["m_list"],

@@ -210,6 +210,11 @@ def moser_energy_grid(m: int, degree: int = 6) -> RadialGrid:
     )
 
 
+def moser_first_width(m: int) -> float:
+    """First element width of ``moser_hyperbolic_grid`` (it shrinks as m grows)."""
+    return _H_FIRST_FRACTION * _junction_radius(m)
+
+
 def moser_hyperbolic_grid(
     m: int, k: int, r_max: float | None = None, degree: int = 6
 ) -> RadialGrid:
@@ -217,9 +222,8 @@ def moser_hyperbolic_grid(
     if r_max is None:
         r_max = 4.0 if k == 1 else 32.0
     outer = euclidean_to_geodesic(0.5)  # image of rho = 1
-    h0 = _H_FIRST_FRACTION * _junction_radius(m)
     return RadialGrid.geodesic_geometric(
-        r_max, h0, ratio=_GRADING_RATIO, degree=degree, h_cap=1.0,
+        r_max, moser_first_width(m), ratio=_GRADING_RATIO, degree=degree, h_cap=1.0,
         forced_edges=(outer,),
     )
 

@@ -155,6 +155,8 @@ def geometric_edges(
     them.  Used by profile-resolving grids where a fixed grading phase
     relative to a shrinking feature scale matters.
     """
+    if not np.isfinite(x_max):  # capped widths would never reach it
+        raise ValueError("x_max must be finite")
     if not (0 < h_first < x_max):
         raise ValueError("h_first must lie in (0, x_max)")
     if ratio <= 1.0:
@@ -323,8 +325,9 @@ class Mesh1D:
             m[0] = self._axis_cardinal_integral(axis_fn)
             if m[0] <= 0.0:
                 raise DiscretizationError(
-                    "axis mass correction came out non-positive; "
-                    "raise the element degree"
+                    "axis mass correction came out non-positive (axis element width "
+                    f"{self.edges[1] - self.edges[0]:.3g}): the first element is too "
+                    "short; coarsen it (smaller grading, larger r_max)"
                 )
         return m
 

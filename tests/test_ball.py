@@ -18,6 +18,7 @@ from hyperadams.ball import (
     volume_weight,
 )
 from hyperadams.errors import (
+    DiscretizationError,
     DomainError,
     NonFiniteSampleError,
     UnsupportedDimensionError,
@@ -68,6 +69,17 @@ class TestVolumeWeight:
             b = grid.hyperbolic_density_euclidean_form(dims)
             mask = a > 0
             assert np.max(np.abs(a[mask] - b[mask]) / a[mask]) < 1e-12
+
+    @pytest.mark.parametrize("metric_form", ["density", "laplacian"])
+    def test_overflowing_weight_raises(self, dims2, metric_form):
+        # sinh^3 r overflows a double from r ~ 237 on; an inf weight would
+        # make every integral on the grid NaN
+        grid = RadialGrid.geodesic(r_max=300.0, n_elements=24, degree=6, grading=1.0)
+        with pytest.raises(DiscretizationError, match="r_max = 300"):
+            if metric_form == "density":
+                grid.hyperbolic_density(dims2)
+            else:
+                grid.laplacian_coefficients("hyperbolic", dims2)
 
     def test_ball_volume_h2(self, dims1):
         grid = RadialGrid.geodesic(r_max=1.0, n_elements=4, degree=6, grading=1.0)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -10,7 +11,10 @@ import pytest
 import hyperadams
 from hyperadams.cli import _parser, main
 from hyperadams.config import (
+    SCHEMAS,
     ExperimentConfig,
+    _float,
+    _float_list,
     load_config,
     parse_config_text,
     validate_config,
@@ -26,6 +30,39 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def echo_text(echo: dict) -> str:
+    """A config echo written back as a config file."""
+    return "".join(
+        f"{k} = {', '.join(str(x) for x in v) if isinstance(v, tuple) else v}\n"
+        for k, v in echo.items()
+    )
+
+
+def benchmark_configs(seed: int) -> list:
+    """The config texts of every benchmark workload's operations on one seed
+    (perfbench/workloads.py, loaded from its file and only read)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    return [
+        op.config_text
+        for name in workloads.WORKLOADS
+        for op in workloads.build(name, seed, CONFIG_DIR)
+    ]
+
+
+# a valid value for each required key, so that a config fails on one key only
+REQUIRED_VALUES = {"k": "1", "beta_list": "13.8", "m_list": "1000"}
+FLOAT_KEYS = [
+    (experiment, key)
+    for experiment, schema in SCHEMAS.items()
+    for key, (parser, _default, _valid) in schema.items()
+    if parser in (_float, _float_list)
+]
 
 
 class TestConfigParsing:
@@ -87,6 +124,29 @@ class TestConfigParsing:
         }
         again = validate_config(raw)
         assert again == cfg
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_and_shipped_configs_validate_and_echo_reparses(self, seed):
+        texts = benchmark_configs(seed)
+        for name in SHIPPED_CONFIGS:
+            with open(os.path.join(CONFIG_DIR, name)) as fh:
+                texts.append(fh.read())
+        for text in texts:
+            cfg = validate_config(parse_config_text(text))
+            again = validate_config(parse_config_text(echo_text(cfg.canonical())))
+            assert again == cfg and again.canonical() == cfg.canonical()
+
+    @pytest.mark.parametrize(
+        "experiment,key", FLOAT_KEYS, ids=[f"{e}-{k}" for e, k in FLOAT_KEYS]
+    )
+    def test_every_float_key_rejects_nan_exit_2(self, tmp_path, capsys, experiment, key):
+        items = {k: v for k, v in REQUIRED_VALUES.items() if k in SCHEMAS[experiment]}
+        items.update(experiment=experiment, **{key: "nan"})
+        cfg = write(tmp_path, "nan.cfg", "".join(f"{k} = {v}\n" for k, v in items.items()))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert f"configuration error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReporting:
@@ -184,6 +244,17 @@ class TestCLI:
             "experiment = inequalities\ngrading = 300\n",
             "experiment = solve-pde\nk = 1\ngrading = inf\n",
             "experiment = solve-pde\nk = 1\nmode = log-constrained\nq2_amplitude = 0\n",
+            "experiment = blowup\nk = 1\nbeta_list = nan\nm_list = 1000\n",
+            "experiment = blowup\nk = 1\nbeta_list = inf\nm_list = 1000\n",
+            "experiment = blowup\nk = 1\nbeta_list = 13.8\nm_list = 1000\nr_max = nan\n",
+            "experiment = blowup\nk = 1\nbeta_list = 13.8\nm_list = 1000\nr_max = inf\n",
+            "experiment = blowup\nk = 1\nbeta_list = 13.8\nm_list = 2, 1000\nr_max = 0.1\n",
+            "experiment = solve-pde\nk = 1\ntol = nan\n",
+            "experiment = solve-pde\nk = 1\ntol = -1\n",
+            "experiment = solve-pde\nk = 1\ntol = 0\n",
+            "experiment = conformal-identity\nr_max = 38.12\n",
+            "experiment = conformal-identity\nr_max = 37.5\n",
+            "experiment = solve-pde\nk = 1\nr_max = 800\n",
         ],
         ids=[
             "pde-family",
@@ -214,6 +285,17 @@ class TestCLI:
             "inequalities-grading-edges-underflow",
             "pde-grading-inf",
             "pde-log-q2-zero",
+            "blowup-beta-nan",
+            "blowup-beta-inf",
+            "blowup-r_max-nan",
+            "blowup-r_max-inf",
+            "blowup-r_max-below-first-element",
+            "pde-tol-nan",
+            "pde-tol-negative",
+            "pde-tol-zero",
+            "conformal-r_max-tanh-rounds-to-1",
+            "conformal-r_max-last-node-rounds-to-1",
+            "pde-r_max-weight-overflows-in-tail-check",
         ],
     )
     def test_out_of_range_value_exit_2_no_output(self, tmp_path, capsys, text, command):
@@ -247,6 +329,41 @@ class TestCLI:
         assert "numerical failure: axis mass correction came out non-positive" in (
             capsys.readouterr().err
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = inequalities\ngrading = 50\n",
+            "experiment = conformal-identity\nr_max = 1e-300\n",
+        ],
+        ids=["grading", "r_max"],
+    )
+    def test_short_axis_element_exit_3_names_the_fix(self, tmp_path, capsys, text):
+        cfg = write(tmp_path, "axis.cfg", text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: axis mass correction came out non-positive" in err
+        assert "the first element is too short; coarsen it" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = inequalities\nr_max = 1000\n",
+            "experiment = blowup\nk = 1\nbeta_list = 13.8\nm_list = 1000\nr_max = 1000\n",
+        ],
+        ids=["inequalities", "blowup"],
+    )
+    def test_overflowing_volume_weight_exit_3_no_output(self, tmp_path, capsys, text):
+        # sinh^{N-1} r overflows a double below r_max = 1000; the weights
+        # would be inf and the integrals NaN
+        cfg = write(tmp_path, "wide.cfg", text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: hyperbolic volume weight" in err and "r_max" in err
         assert not out.exists()
 
     def test_isometry_support_between_nodes_exit_3_no_output(self, tmp_path, capsys):

@@ -116,6 +116,13 @@ def test_graded_and_geometric_edges():
     assert np.diff(g)[0] <= 1e-3 * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("x_max", [np.inf, np.nan])
+def test_geometric_edges_reject_non_finite_end(x_max):
+    # capped at h_cap the widths stop growing and would never reach inf
+    with pytest.raises(ValueError, match="x_max must be finite"):
+        geometric_edges(x_max, 0.1, ratio=1.5, h_cap=1.0)
+
+
 def test_refining_elements_converges_at_documented_order():
     # documented scheme order is 4; observed self-convergence must beat it
     errors = []
