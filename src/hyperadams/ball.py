@@ -65,7 +65,8 @@ def geodesic_to_euclidean(r, complement: bool = False):
     s = np.tanh(r_arr / 2.0)
     if not complement:
         return float(s) if np.isscalar(r) else s
-    one_minus = 2.0 / (np.exp(r_arr) + 1.0)
+    with np.errstate(over="ignore"):  # beyond r = 709.8, 1 - s is exactly 0
+        one_minus = 2.0 / (np.exp(r_arr) + 1.0)
     if np.isscalar(r):
         return float(s), float(one_minus)
     return s, one_minus

@@ -382,6 +382,8 @@ def run_solve_pde(cfg: ExperimentConfig) -> ExperimentReport:
         diagnostics={
             "message": result.message,
             "objective_history": list(result.objective_history),
+            "step_lengths": list(result.step_lengths),
+            "decrements": list(result.decrements),
             "converged": result.converged,
         },
         failure=None if result.converged else "solver did not converge",

@@ -11,7 +11,8 @@ Two regimes, matching the two existence results:
   set where the log argument is positive; the reported solution is the
   minimizer shifted by -(1/2) log of that argument.
 
-Both regimes run one damped Newton driver with Armijo backtracking; each
+Both regimes run one damped Newton driver with Armijo backtracking (a
+full step once the predicted decrease is below J's roundoff); each
 step solves the Hessian c H0 + diag (plus a rank-one term in log mode) by
 one scaled LU of its LAPACK band storage.  Minimization runs over radial
 grid functions vanishing at R_max (a conforming radial subspace); the
@@ -36,12 +37,16 @@ from .errors import (
     OverflowNodeError,
 )
 from .inequalities import EXP_OVERFLOW_LIMIT, beta0
+from .mesh import Mesh1D, gauss_lobatto, graded_edges
 from .operators import gjms_assemble
 
 CONVEX = "convex"
 LOG_CONSTRAINED = "log-constrained"
 
 (_gbsv,) = get_lapack_funcs(("gbsv",), dtype=np.float64)
+# a predicted decrease at most this times max(1, |J|) is below what a
+# difference of two values of J resolves; the line search then takes t = 1
+FULL_STEP_DECREASE = 1e-10
 
 _FAMILIES = {}
 
@@ -94,28 +99,33 @@ def square_integrable_dv(
 ) -> bool:
     """Tail-quadrature check of int fn^2 dv_g < infinity.
 
-    Integrates fn^2 against the hyperbolic density on [0, r_max] and on
-    extension blocks beyond; growing block contributions mean the exponential
-    volume beats the decay (not square-integrable).
+    Integrates fn^2 against the hyperbolic density on one mesh: 24 graded
+    elements on [0, r_max] give the base, and 12 unit elements beyond it
+    give three extension blocks of 4; growing block contributions mean the
+    exponential volume beats the decay (not square-integrable).  A volume
+    weight that overflows on that mesh raises ``DomainError`` naming r_max.
     """
-    from .mesh import Mesh1D, graded_edges
-
-    mesh = Mesh1D(graded_edges(r_max, 24, 1.5), p=6)
-    f2 = np.asarray(fn(mesh.nodes), dtype=float) ** 2
-    base = mesh.integrate(f2 * volume_weight(mesh.nodes, dims))
-    blocks = []
-    for i in range(3):
-        a, b = r_max + 4.0 * i, r_max + 4.0 * (i + 1)
-        bm = Mesh1D(np.linspace(a, b, 5), p=6)
-        blocks.append(
-            bm.integrate(
-                np.asarray(fn(bm.nodes), dtype=float) ** 2
-                * volume_weight(bm.nodes, dims)
-            )
+    edges = np.append(graded_edges(r_max, 24, 1.5), r_max + np.arange(1.0, 13.0))
+    mesh = Mesh1D(edges, p=6)
+    with np.errstate(over="ignore"):
+        weight = volume_weight(mesh.nodes, dims)
+    if not np.all(np.isfinite(weight)):
+        limit = math.log(2.0) + (
+            math.log(np.finfo(float).max) - max(math.log(dims.omega_Nm1), 0.0)
+        ) / (dims.N - 1)
+        raise DomainError(
+            f"r_max = {r_max:g} is too large for the square-integrability check: "
+            f"the volume weight sinh^(N-1) r overflows from r = {limit:.1f} "
+            f"(N = {dims.N}) and the check integrates up to r_max + 12; "
+            f"lower r_max below {limit - 12.0:.1f}"
         )
+    f2w = np.asarray(fn(mesh.nodes), dtype=float) ** 2 * weight
+    per_element = mesh.jac * (f2w[mesh.elements] @ gauss_lobatto(6)[1])
+    base = per_element[:24].sum()
+    blocks = per_element[24:].reshape(3, 4).sum(axis=1)
     growing = blocks[-1] > blocks[0] * 1.000001 and blocks[-1] > 1e-300
     tail_small = blocks[-1] <= 1e-10 * max(base, 1e-300)
-    return (not growing) and tail_small
+    return bool((not growing) and tail_small)
 
 
 @dataclass
@@ -182,6 +192,8 @@ class SolveResult:
     converged: bool
     additive_constant: float | None = None
     objective_history: tuple = ()
+    step_lengths: tuple = ()  # t of each accepted Newton step
+    decrements: tuple = ()  # Newton decrement sqrt(-slope) of each step
     message: str = ""
 
 
@@ -360,9 +372,18 @@ def _damped_newton(
     lam diag(mass_dv) is raised until the Newton step descends.  Five
     iterations without a 10 % drop in the certificate end the solve as a
     stall at the numerical floor.
+
+    At the roundoff floor the full step is taken: when the predicted
+    decrease -slope = lambda^2 (lambda the Newton decrement) is at most
+    ``FULL_STEP_DECREASE * max(1, |J(u)|)``, t = 1 is accepted whenever
+    J(u + s) is finite.  A difference of two values of J cannot resolve
+    such a decrease (J's roundoff is ~1e-12 at |J| ~ 1 on the shipped k = 2
+    problem), so Armijo would halve on noise; this is the quadratic phase
+    of Newton's method (Boyd & Vandenberghe, Convex Optimization, 9.5.3).
+    An infinite J(u + s) backtracks as above.
     """
     J_u = objective(u)
-    history = [J_u]
+    history, step_lengths, decrements = [J_u], [], []
     best, stalled, message = math.inf, 0, ""
     for it in range(1, max_iter + 2):
         res, grad, (c, v), w = linearize(u)
@@ -399,10 +420,13 @@ def _damped_newton(
         else:
             message = "could not build a descent direction"
             break
+        at_floor = -slope <= FULL_STEP_DECREASE * max(1.0, abs(J_u))
         t = 1.0
         for _ in range(50):
             trial = u + t * step
             J_trial = objective(trial)
+            if at_floor and t == 1.0 and math.isfinite(J_trial):
+                break
             # near the minimizer the decrease (~ residual^2) falls below the
             # roundoff of J; without the allowance the search would stall
             # above the certificate's floor
@@ -414,6 +438,8 @@ def _damped_newton(
             break
         u, J_u = trial, J_trial
         history.append(J_u)
+        step_lengths.append(t)
+        decrements.append(math.sqrt(-slope))
     return SolveResult(
         u=disc.embed(u),
         objective=J_u,
@@ -421,6 +447,8 @@ def _damped_newton(
         iterations=min(it, max_iter),
         converged=message == "converged",
         objective_history=tuple(history),
+        step_lengths=tuple(step_lengths),
+        decrements=tuple(decrements),
         message=message,
     )
 

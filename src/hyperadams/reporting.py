@@ -4,7 +4,8 @@ CSV contract: line 1 is the only non-deterministic line (a timestamp
 comment); line 2 is the fixed header; numeric cells are printed with 17
 significant digits in scientific notation, '.' decimal separator and
 newline-only line endings.  Identical config + seed reproduce the body
-byte for byte.  Files are written atomically (temp file + rename).
+byte for byte.  Files are written atomically (temp file + rename), with
+the mode a plain ``open`` would give them (0o666 less the umask).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import functools
 import json
 import os
 import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -117,8 +117,12 @@ def _jsonable(x):
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``.  The temp file is created with mode 0o666 less the umask,
+    the mode a plain ``open`` gives a new file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_report_")
+    tmp = os.path.join(directory, f".tmp_report_{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hyperadams.config import (
     validate_config,
 )
 from hyperadams.errors import ConfigError
+from hyperadams.mesh import Mesh1D
 from hyperadams.reporting import ExperimentReport, csv_body, format_cell
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -184,6 +186,20 @@ class TestReporting:
         payload = json.loads(open(json_path).read())
         assert payload["experiment"] == "demo"
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp_report_")]
+
+    def test_reports_get_the_umask_mode(self, tmp_path):
+        # the temp file behind the atomic rename must not keep a private mode
+        src = os.path.dirname(os.path.dirname(hyperadams.__file__))
+        out = tmp_path / "out"
+        subprocess.run(
+            [sys.executable, "-m", "hyperadams.cli", "run",
+             os.path.join(CONFIG_DIR, "constants.cfg"), "--out", str(out)],
+            check=True, capture_output=True, preexec_fn=lambda: os.umask(0o022),
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        for name in ("constants.csv", "constants.json"):
+            assert (out / name).stat().st_mode & 0o777 == 0o644
+        assert sorted(os.listdir(out)) == ["constants.csv", "constants.json"]
 
     def test_build_hash_computed_once_per_process(self, monkeypatch):
         import hyperadams.reporting as reporting
@@ -366,6 +382,23 @@ class TestCLI:
         assert "numerical failure: hyperbolic volume weight" in err and "r_max" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "k, r_max", [(1, 800), (2, 230)], ids=["k1-grid-overflows", "k2-tail-overflows"]
+    )
+    def test_tail_check_overflow_names_r_max(self, tmp_path, capsys, k, r_max):
+        # at k = 2 the solve's own grid on [0, 230] is finite; only the data
+        # check's extension up to r_max + 12 overflows, so r_max is blamed,
+        # not the data
+        cfg = write(tmp_path, "wide.cfg", f"experiment = solve-pde\nk = {k}\nr_max = {r_max}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would fail the run
+            assert main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"r_max = {r_max}" in err and "overflows" in err
+        assert "square-integrable" not in err
+        assert not out.exists()
+
     def test_isometry_support_between_nodes_exit_3_no_output(self, tmp_path, capsys):
         # the one radial Gauss node sits at s = 0.46, outside the support, so
         # the base integral is 0 and no relative deviation is defined
@@ -529,6 +562,34 @@ class TestShippedConfigs:
     def test_converge_solve_pde_exits_zero(self, name, tmp_path):
         cfg = os.path.join(CONFIG_DIR, name)
         assert main(["converge", cfg, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    @pytest.mark.parametrize(
+        "name",
+        ["solve_pde_linear_k1.cfg", "solve_pde_log_k1.cfg", "solve_pde_convex_k2.cfg"],
+    )
+    def test_one_ulp_stiffness_perturbation_exits_zero(
+        self, name, command, tmp_path, monkeypatch
+    ):
+        # a verdict must not hang on the last bits of K, which another BLAS
+        # kernel or summation order would change: each stored entry is
+        # multiplied by 1 + 2^-52 U(-1, 1), then K is symmetrized
+        stiffness = Mesh1D.stiffness
+        cfg = os.path.join(CONFIG_DIR, name)
+        failed = []
+        for draw in range(20):
+            rng = np.random.default_rng(draw)
+
+            def perturbed(mesh, coeff):
+                K = stiffness(mesh, coeff)
+                K.data *= 1.0 + 2.0**-52 * rng.uniform(-1.0, 1.0, K.data.size)
+                return ((K + K.T) / 2).tocsr()
+
+            monkeypatch.setattr(Mesh1D, "stiffness", perturbed)
+            code = main([command, cfg, "--out", str(tmp_path / str(draw))])
+            if code != 0:
+                failed.append((draw, code))
+        assert failed == []
 
     def test_converge_failure_names_the_failed_check(self, tmp_path, capsys):
         # the k=2 convex study fails on its tolerance check, not on an order:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hyperadams.errors import (
     FeasibilityError,
     OverflowNodeError,
 )
+from hyperadams import pde
 from hyperadams.pde import (
     CONVEX,
+    FULL_STEP_DECREASE,
     LOG_CONSTRAINED,
     PDEProblem,
     _Discretization,
@@ -99,6 +102,25 @@ class TestFamilies:
                 ("rational-decay", {"power": 1.0}),
                 ("gaussian", {"amplitude": 1.0}),
                 mode=LOG_CONSTRAINED,
+            )
+
+    @pytest.mark.parametrize("k, r_max", [(1, 800.0), (2, 230.0), (3, 131.0)])
+    def test_overflowing_weight_names_r_max(self, k, r_max):
+        # the check integrates up to r_max + 12, where sinh^{N-1} r overflows
+        # a double (at r = 708.6, 236.3 and 142.0 for k = 1, 2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(DomainError, match=f"r_max = {r_max:g} .* overflows"):
+                square_integrable_dv(radial_family("gaussian"), DimensionParams(k), r_max)
+
+    @pytest.mark.parametrize("k, r_max", [(1, 696.0), (2, 224.0), (3, 129.0)])
+    def test_largest_finite_weight_decides(self, k, r_max):
+        dims = DimensionParams(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert square_integrable_dv(radial_family("gaussian"), dims, r_max)
+            assert not square_integrable_dv(
+                radial_family("rational-decay", power=2.0), dims, r_max
             )
 
     def test_unknown_family(self):
@@ -498,3 +520,75 @@ class TestJQFunctional:
         )
         zero = RadialFunction(pde_grid, np.zeros(pde_grid.n_nodes))
         assert functional_JQ(zero, prob) == math.inf
+
+
+@pytest.fixture(scope="module")
+def shipped_k2_problem():
+    """configs/solve_pde_convex_k2.cfg at a given number of elements."""
+
+    def build(n_elements):
+        grid = RadialGrid.geodesic(
+            r_max=12.0, n_elements=n_elements, degree=4, grading=1.5
+        )
+        return PDEProblem.from_families(
+            DimensionParams(2),
+            grid,
+            ("gaussian", {"amplitude": 1.0, "width": 1.0}),
+            ("gaussian", {"amplitude": -1.0, "width": 1.0}),
+        )
+
+    return build
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("n_elements", [96, 384])
+    def test_at_most_two_objective_calls_per_iteration(
+        self, n_elements, shipped_k2_problem, monkeypatch
+    ):
+        # at the roundoff floor Armijo cannot see the decrease left; halving
+        # on that noise cost 69 calls in 12 iterations at 96 elements
+        calls = []
+        J_value = pde._J_value
+        monkeypatch.setattr(
+            pde, "_J_value", lambda *a, **kw: calls.append(1) or J_value(*a, **kw)
+        )
+        res = solve_convex(shipped_k2_problem(n_elements), tol=1e-8, max_iter=60)
+        assert len(calls) <= 2 * res.iterations
+
+    def test_step_below_roundoff_is_full(self, shipped_k2_problem):
+        res = solve_convex(shipped_k2_problem(96), tol=1e-8, max_iter=60)
+        steps = list(zip(res.objective_history, res.decrements, res.step_lengths))
+        assert len(steps) == len(res.objective_history) - 1
+        at_floor = [
+            t for J, lam, t in steps if lam**2 <= FULL_STEP_DECREASE * max(1.0, abs(J))
+        ]
+        assert len(at_floor) >= 5
+        assert all(t == 1.0 for t in at_floor)
+
+    @pytest.mark.parametrize(
+        "call, spoil, step",
+        [(2, lambda J: J + 10.0, 0), (4, lambda J: math.inf, 2)],
+        ids=["ascent-above-floor", "infinite-at-floor"],
+    )
+    def test_spoiled_trial_still_backtracks(
+        self, call, spoil, step, shipped_k2_problem, monkeypatch
+    ):
+        # the 12-element solve takes three full steps, the first far above
+        # the floor and the third at it; spoiling one trial value of J makes
+        # the search halve that step
+        calls = []
+        J_value = pde._J_value
+
+        def objective(*a, **kw):
+            calls.append(1)
+            J = J_value(*a, **kw)
+            return spoil(J) if len(calls) == call else J
+
+        monkeypatch.setattr(pde, "_J_value", objective)
+        res = solve_convex(shipped_k2_problem(12), tol=1e-8, max_iter=60)
+        assert res.converged
+        at_floor = res.decrements[step] ** 2 <= FULL_STEP_DECREASE * max(
+            1.0, abs(res.objective_history[step])
+        )
+        assert at_floor == (step == 2)
+        assert res.step_lengths[step] < 1.0
