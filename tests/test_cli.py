@@ -389,7 +389,8 @@ class TestCLI:
         # at k = 2 the solve's own grid on [0, 230] is finite; only the data
         # check's extension up to r_max + 12 overflows, so r_max is blamed,
         # not the data
-        cfg = write(tmp_path, "wide.cfg", f"experiment = solve-pde\nk = {k}\nr_max = {r_max}\n")
+        text = f"experiment = solve-pde\nk = {k}\nr_max = {r_max}\n"
+        cfg = write(tmp_path, "wide.cfg", text)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning would fail the run
