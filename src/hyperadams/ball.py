@@ -222,7 +222,9 @@ class RadialGrid:
 
     def _hyperbolic_density(self, dims: DimensionParams) -> np.ndarray:
         if self.coordinate == GEODESIC:
-            return self._finite_weight(volume_weight(self._r, dims))
+            with np.errstate(over="ignore"):  # _finite_weight reports an overflow
+                weight = volume_weight(self._r, dims)
+            return self._finite_weight(weight)
         if np.any(self._s >= 1.0):
             raise DomainError("hyperbolic measure undefined for s >= 1")
         s, oms = self._s, self.one_minus_s
@@ -269,7 +271,8 @@ class RadialGrid:
             if self.coordinate != GEODESIC:
                 raise DomainError("hyperbolic operators require a geodesic grid")
             r = self._r
-            c = self._finite_weight(np.sinh(r) ** (N - 1))
+            with np.errstate(over="ignore"):  # _finite_weight reports an overflow
+                c = self._finite_weight(np.sinh(r) ** (N - 1))
             return c, c, lambda t: np.sinh(t) ** (N - 1)
         if metric == "euclidean":
             if self.coordinate == EUCLIDEAN:

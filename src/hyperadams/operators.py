@@ -4,10 +4,10 @@ The discrete Laplace operators are Galerkin pairs ``A = M^{-1} K`` with a
 weighted stiffness matrix K and a positive diagonal mass M, so every
 polynomial in A (in particular each GJMS factor and their product) is exactly
 self-adjoint in the M-inner product and the assembled quadratic forms are
-symmetric to roundoff.  The product operator keeps its factors, so
-quadratic forms are evaluated with at most ceil((k-1)/2) pointwise operator
-applications per side.  Each factor B_j = K + sigma_j M is a copy of K's
-data with sigma_j M added on the diagonal slots, on K's own CSR structure.
+symmetric to roundoff.  The product operator is kept only as its factors
+(K, M, shifts): quadratic forms take at most ceil((k-1)/2) pointwise
+operator applications per side, and the band of omega M P_k that the PDE
+solver factorizes is read off the factor chain by grouped column probes.
 
 Sign conventions: ``*_laplacian_radial`` return Delta (resp. Delta_g); the
 GJMS base operator is P_1 = -Delta_g - N(N-2)/4 and the critical product is
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,10 +54,10 @@ def _laplacian_parts(dims: DimensionParams, grid: RadialGrid, metric: str):
 @dataclass
 class GJMSOperator:
     """Critical GJMS product P_k = (A + sigma_k) ... (A + sigma_1), A = M^{-1} K,
-    kept as its second-order factors B_j = K + sigma_j M.
+    kept as its factors: the stiffness K, the mass M and the shifts sigma_j.
 
     Every use of P_k goes through this object: pointwise applications, the
-    quadratic form, and the energy matrix omega M P_k that the PDE solver
+    quadratic form, and the band of omega M P_k that the PDE solver
     factorizes.  ``apply`` and ``quadratic_form`` take one profile (n,) or a
     family as a (P, n) block of rows.
     """
@@ -68,31 +67,10 @@ class GJMSOperator:
     shifts: tuple
     dims: DimensionParams
 
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def _diagonal_slots(self) -> np.ndarray:
-        """Data positions of K's diagonal, one per row (K is canonical CSR)."""
-        K = self.stiffness
-        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-        return np.flatnonzero(K.indices == rows)
-
-    def factor_matrix(self, j: int) -> sp.csr_matrix:
-        """B_j = K + sigma_j M, the M-weighted j-th factor (symmetric), built on
-        first use and kept: the form needs one factor, the energy matrix all.
-
-        B_j shares K's structure: sigma_j M is added on K's diagonal slots, the
-        same single addition per entry as the sparse sum K + sigma_j diag(M)."""
-        if j not in self._factors:
-            K = self.stiffness
-            data = K.data.copy()
-            data[self._diagonal_slots] += self.shifts[j] * self.mass
-            B = sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
-            if not data.all():  # the sparse sum stores no zero entry
-                B = B.copy()
-                B.eliminate_zeros()
-            self._factors[j] = B
-        return self._factors[j]
+    def _weighted_factor(self, j: int, z: np.ndarray) -> np.ndarray:
+        """B_j z = K z + sigma_j M z, the M-weighted j-th factor (symmetric)."""
+        mass = self.mass if z.ndim == 1 else self.mass[:, None]
+        return self.stiffness @ z + self.shifts[j] * (mass * z)
 
     def apply(self, u, js=None) -> np.ndarray:
         """Apply (A + sigma_j) for j in js (default: all, i.e. P_k u) pointwise."""
@@ -112,27 +90,36 @@ class GJMSOperator:
         b = k - 1 - a
         y = self.apply(uv, range(a)).T
         z = self.apply(wv, range(a + 1, a + 1 + b)).T
-        return self.dims.omega_Nm1 * column_dots(y, self.factor_matrix(a) @ z)
+        return self.dims.omega_Nm1 * column_dots(y, self._weighted_factor(a, z))
 
-    @cached_property
-    def energy_matrix(self) -> sp.csr_matrix:
-        """omega B_1 M^{-1} B_2 ... M^{-1} B_k = omega M P_k, symmetric
-        positive semidefinite (definite under a Dirichlet restriction).
+    def energy_band(self) -> np.ndarray:
+        """omega M P_k = omega B_1 M^{-1} B_2 ... M^{-1} B_k in LAPACK general
+        band storage: band[bw + i - j, j] = (omega M P_k)[i, j], bw = k p.
 
-        The sparse product order fixes the (unsorted) column order of each
-        row, hence the summation order of every entry and of ``H0 @ u`` in
-        the PDE solver; the k = 2 solver certificate depends on those bits."""
-        Minv = sp.diags(1.0 / self.mass)
-        weighted = self.factor_matrix(0)
-        for j in range(1, len(self.shifts)):
-            weighted = (weighted @ Minv @ self.factor_matrix(j)).tocsr()
-        return (self.dims.omega_Nm1 * weighted).tocsr()
+        The factor chain runs on the 2 bw + 1 probe columns, each the sum of
+        the e_j with j = c mod (2 bw + 1): columns that far apart share no
+        row of the product (Curtis, Powell & Reid 1974)."""
+        K, k, n = self.stiffness, len(self.shifts), self.mass.size
+        i = np.repeat(np.arange(n), np.diff(K.indptr))
+        bw = k * int(np.max(np.abs(i - K.indices)))
+        group = np.arange(n) % (2 * bw + 1)
+        z = np.zeros((n, min(2 * bw + 1, n)))
+        z[np.arange(n), group] = 1.0  # the probe columns
+        z = self._weighted_factor(k - 1, z)
+        for j in range(k - 2, -1, -1):
+            z = self._weighted_factor(j, z / self.mass[:, None])
+        i = np.arange(2 * bw + 1)[:, None] + np.arange(n) - bw  # row of entry (r, j)
+        entries = z.take(i * z.shape[1] + group, mode="clip")  # z[i, group[j]]
+        return self.dims.omega_Nm1 * np.where((i >= 0) & (i < n), entries, 0.0)
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        """Pointwise P_k as one sparse matrix, (omega M)^{-1} energy_matrix."""
-        inv_mass_dv = sp.diags(1.0 / (self.dims.omega_Nm1 * self.mass))
-        return (inv_mass_dv @ self.energy_matrix).tocsr()
+        """Pointwise P_k as one sparse matrix, (omega M)^{-1} times the band."""
+        band = self.energy_band()
+        bw, n = band.shape[0] // 2, band.shape[1]
+        mass_dv = np.pad(self.dims.omega_Nm1 * self.mass, bw, constant_values=1.0)
+        band /= mass_dv[np.arange(2 * bw + 1)[:, None] + np.arange(n)]  # row i
+        return sp.dia_matrix((band, bw - np.arange(2 * bw + 1)), shape=(n, n)).tocsr()
 
     def restrict(self, n: int) -> "GJMSOperator":
         """The same operator on the first n nodes (Dirichlet at the dropped ones)."""
@@ -197,7 +184,7 @@ def gjms_assemble(dims: DimensionParams, grid: RadialGrid) -> GJMSOperator:
 
     P_1 = -Delta_g - N(N-2)/4 with N(N-2)/4 = k(k-1) in the critical
     dimension, so each factor is A + sigma_j for the same A = -Delta_g.
-    No product is multiplied out here; see ``GJMSOperator.energy_matrix``.
+    No product is multiplied out here; see ``GJMSOperator.energy_band``.
     """
     if dims.N != 2 * dims.k:
         raise DomainError("critical GJMS assembly requires N = 2k")

@@ -12,11 +12,11 @@ Two regimes, matching the two existence results:
   minimizer shifted by -(1/2) log of that argument.
 
 Both regimes run one damped Newton driver with Armijo backtracking (a
-full step once the predicted decrease is below J's roundoff); each
-step solves the Hessian c H0 + diag (plus a rank-one term in log mode) by
-one scaled LU of its LAPACK band storage.  Minimization runs over radial
-grid functions vanishing at R_max (a conforming radial subspace); the
-solver is deterministic.
+full step once the predicted decrease is below J's roundoff); each step
+solves the Hessian c H + diag, H = omega M P_k (plus a rank-one term in
+log mode), by one scaled LU of the band ``GJMSOperator.energy_band`` reads
+off the factors of P_k.  Minimization runs over radial grid functions
+vanishing at R_max (a conforming radial subspace); it is deterministic.
 """
 
 from __future__ import annotations
@@ -205,7 +205,6 @@ class _Discretization:
         grid = problem.grid
         self.n = grid.n_nodes - 1  # drop the boundary node at R_max
         self.op = gjms_assemble(problem.dims, grid).restrict(self.n)
-        self.H0 = self.op.energy_matrix  # omega M P_k, symmetric positive definite
         self.mass_dv = problem.dims.omega_Nm1 * self.op.mass  # discrete dv_g weights
         self.Q1 = problem.Q1.values[: self.n]
         self.Q2 = problem.Q2.values[: self.n]
@@ -214,16 +213,9 @@ class _Discretization:
 
     @cached_property
     def band(self) -> np.ndarray:
-        """H0 in LAPACK general band storage (2 bw + 1, n):
-        band[bw + i - j, j] = H0[i, j], filled from H0's CSR arrays on
-        first use."""
-        H0 = self.H0
-        i = np.repeat(np.arange(self.n), np.diff(H0.indptr))
-        offset = i - H0.indices
-        bw = int(np.max(np.abs(offset)))
-        band = np.zeros((2 * bw + 1, self.n))
-        band[bw + offset, H0.indices] = H0.data
-        return band
+        """H = omega M P_k (symmetric positive definite) in LAPACK general
+        band storage (2 bw + 1, n), built on first use."""
+        return self.op.energy_band()
 
     @cached_property
     def row_scale_index(self) -> np.ndarray:
@@ -277,7 +269,7 @@ def _J_value(u: np.ndarray, disc: _Discretization, strict: bool = False) -> floa
     e2u = _exp2u(u, strict)
     if e2u is None:
         return math.inf
-    quad = 0.5 * float(u @ (disc.H0 @ u))
+    quad = 0.5 * float(disc.op.quadratic_form(u))
     linear = disc.dv_dot(disc.Q, u)
     nonlinear = 0.5 * disc.dv_dot(disc.Q2, e2u - 2.0 * u - 1.0)
     return quad - linear - nonlinear
@@ -286,7 +278,7 @@ def _J_value(u: np.ndarray, disc: _Discretization, strict: bool = False) -> floa
 def _convex_linearize(u: np.ndarray, disc: _Discretization) -> tuple:
     """Convex-mode residual P_k u + Q1 - Q2 e^{2u} (the dv_g-gradient of J,
     through raw factor applications), the gradient against the discrete
-    dv_g weights, and the Hessian H0 - 2 diag(mass_dv Q2 e^{2u}) as
+    dv_g weights, and the Hessian H - 2 diag(mass_dv Q2 e^{2u}) as
     (1, that diagonal)."""
     e2u = _exp2u(u, True)
     res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u
@@ -313,7 +305,7 @@ def hessian_action_J(
     disc = disc or _Discretization(problem)
     c, diag = _convex_linearize(disc.interior(u), disc)[2]
     wv = disc.interior(w)
-    return (c * (disc.H0 @ wv) + diag * wv) / disc.mass_dv
+    return c * disc.op.apply(wv) + diag * wv / disc.mass_dv
 
 
 def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray:
@@ -325,7 +317,7 @@ def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray
 def _band_solve(
     disc: _Discretization, c: float, diag: np.ndarray, b: np.ndarray, w: np.ndarray | None
 ) -> np.ndarray:
-    """Solve (A + w w^T) x = b, where A is c H0 with its main diagonal
+    """Solve (A + w w^T) x = b, where A is c H with its main diagonal
     replaced by ``diag``, by one LU with partial pivoting (LAPACK gbsv) of
     the symmetrically scaled band of A (the scaling keeps the axis rows
     harmless) and Sherman-Morrison for the rank-one term."""
@@ -367,9 +359,9 @@ def _damped_newton(
     ``objective(u)`` is inf where u is infeasible or overflows, so the line
     search halves such trial steps away.  ``linearize(u)`` returns the
     certificate residual (its dv_g-norm is compared with ``tol``), the
-    gradient, the Hessian c H0 + diag(v) as (c, v), and an optional rank-one
-    vector w (Hessian = c H0 + diag(v) + w w^T).  A Levenberg shift
-    lam diag(mass_dv) is raised until the Newton step descends.  Five
+    gradient, the Hessian c H + diag(v) as (c, v), H = omega M P_k, and an
+    optional rank-one vector w (Hessian = c H + diag(v) + w w^T).  A
+    Levenberg shift lam diag(mass_dv) is raised until the step descends.  Five
     iterations without a 10 % drop in the certificate end the solve as a
     stall at the numerical floor.
 
@@ -486,7 +478,18 @@ def functional_JQ(u, problem: PDEProblem, disc: _Discretization | None = None) -
     G = log_argument(uv, disc)
     if not 0.0 < G < math.inf:  # infeasible, or e^{2u} overflows
         return math.inf
-    return float(uv @ (disc.H0 @ uv)) + 2.0 * disc.dv_dot(disc.Q1, uv) - math.log(G)
+    return float(disc.op.quadratic_form(uv)) + 2.0 * disc.dv_dot(disc.Q1, uv) - math.log(G)
+
+
+def _log_linearize(u: np.ndarray, disc: _Discretization) -> tuple:
+    """``_convex_linearize`` for J_Q: the shifted-equation residual
+    P_k u + Q1 - Q2 e^{2u} / G (G the log argument) vanishes where J_Q is
+    stationary, and J_Q's gradient is 2 mass_dv times it."""
+    e2u = _exp2u(u, True)
+    G = disc.dv_dot(disc.Q2, e2u - 1.0)
+    q2e = disc.mass_dv * disc.Q2 * e2u
+    res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u / G
+    return res, 2.0 * disc.mass_dv * res, (2.0, -4.0 * q2e / G), 2.0 * q2e / G
 
 
 def _feasible_start(disc: _Discretization) -> np.ndarray:
@@ -513,19 +516,9 @@ def solve_log_constrained(
     if problem.mode != LOG_CONSTRAINED:
         raise DomainError("solve_log_constrained requires log-constrained mode")
     disc = _Discretization(problem)
-
-    def linearize(u):
-        e2u = _exp2u(u, True)
-        G = disc.dv_dot(disc.Q2, e2u - 1.0)
-        q2e = disc.mass_dv * disc.Q2 * e2u
-        # stationarity of J_Q == shifted-equation residual; certify via that
-        res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u / G
-        grad = 2.0 * (disc.H0 @ u) + 2.0 * disc.mass_dv * disc.Q1 - 2.0 * q2e / G
-        return res, grad, (2.0, -4.0 * q2e / G), 2.0 * q2e / G
-
     result = _damped_newton(
-        disc, _feasible_start(disc), lambda u: functional_JQ(u, problem, disc), linearize,
-        tol, max_iter, convex=False,
+        disc, _feasible_start(disc), lambda u: functional_JQ(u, problem, disc),
+        lambda u: _log_linearize(u, disc), tol, max_iter, convex=False,
     )
     u = disc.interior(result.u)
     result.additive_constant = -0.5 * math.log(log_argument(u, disc))
@@ -544,7 +537,7 @@ def ray_coercivity_table(
     rows = []
     for t in t_values:
         uv = t * disc.interior(direction)
-        energy = float(uv @ (disc.H0 @ uv))
+        energy = float(disc.op.quadratic_form(uv))
         J = functional_JQ(uv, problem, disc) if problem.mode == LOG_CONSTRAINED else _J_value(uv, disc)
         rows.append(
             {

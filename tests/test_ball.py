@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,13 +74,17 @@ class TestVolumeWeight:
     @pytest.mark.parametrize("metric_form", ["density", "laplacian"])
     def test_overflowing_weight_raises(self, dims2, metric_form):
         # sinh^3 r overflows a double from r ~ 237 on; an inf weight would
-        # make every integral on the grid NaN
+        # make every integral on the grid NaN.  The error is the only report:
+        # the overflow raises no RuntimeWarning on the way
         grid = RadialGrid.geodesic(r_max=300.0, n_elements=24, degree=6, grading=1.0)
-        with pytest.raises(DiscretizationError, match="r_max = 300"):
-            if metric_form == "density":
-                grid.hyperbolic_density(dims2)
-            else:
-                grid.laplacian_coefficients("hyperbolic", dims2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DiscretizationError, match="r_max = 300"):
+                if metric_form == "density":
+                    grid.hyperbolic_density(dims2)
+                else:
+                    grid.laplacian_coefficients("hyperbolic", dims2)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_ball_volume_h2(self, dims1):
         grid = RadialGrid.geodesic(r_max=1.0, n_elements=4, degree=6, grading=1.0)

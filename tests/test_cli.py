@@ -374,10 +374,14 @@ class TestCLI:
     )
     def test_overflowing_volume_weight_exit_3_no_output(self, tmp_path, capsys, text):
         # sinh^{N-1} r overflows a double below r_max = 1000; the weights
-        # would be inf and the integrals NaN
+        # would be inf and the integrals NaN.  The message is the only output:
+        # the overflow itself raises no RuntimeWarning
         cfg = write(tmp_path, "wide.cfg", text)
         out = tmp_path / "out"
-        assert main(["run", cfg, "--out", str(out)]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg, "--out", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "numerical failure: hyperbolic volume weight" in err and "r_max" in err
         assert not out.exists()

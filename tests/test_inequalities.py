@@ -238,7 +238,10 @@ class TestFamilyChecks:
         with_zero = _scaled_block(base, (0.5, 0.0, 1.0))
         calib = fit_linearized_calibration(family, 0.9, dims1)
         assert calib == fit_linearized_calibration(with_zero, 0.9, dims1)
-        assert calib == 1.4084148500644436
+        # the literal is this value on one BLAS kernel; another kernel sums
+        # the n-node quadratures behind the log-moment and the energy term in
+        # another order, which moves each by a few n eps
+        assert abs(calib - 1.4084148500644436) <= 4 * grid.n_nodes * np.finfo(float).eps
 
 
 class TestOwen:

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
 from hyperadams.errors import DiscretizationError, DomainError
 from hyperadams.operators import (
-    GJMSOperator,
     euclidean_gradk_energy,
     euclidean_laplacian_radial,
     gjms_assemble,
@@ -27,14 +26,21 @@ def interior_mask(grid, r_lo=None, r_hi=None):
     return (nodes > lo) & (nodes < hi)
 
 
+def assert_roundoff_row_sums(op, out, degree):
+    """op @ 1 = -M^{-1} K 1 vanishes up to the roundoff of K's row sums: a
+    row holds at most 2p + 1 entries, each rounded in the assembly, so every
+    node is within (2p + 2) eps (|K| 1) / M = (2p + 2) eps (|op| 1)."""
+    scale = abs(op) @ np.ones(op.shape[0])
+    assert np.all(np.abs(out) <= (2 * degree + 2) * np.finfo(float).eps * scale)
+
+
 class TestEuclideanLaplacian:
     def test_constant_annihilated(self, ball_grid, dims2):
         op = euclidean_laplacian_radial(dims2, ball_grid)
         out = op @ np.ones(ball_grid.n_nodes)
         # roundoff is amplified by the tiny axis mass in the first element
         assert np.max(np.abs(out)) < 1e-6
-        mask = ball_grid.mesh.nodes > ball_grid.mesh.edges[3]
-        assert np.max(np.abs(out[mask])) < 1e-10
+        assert_roundoff_row_sums(op, out, ball_grid.degree)
 
     def test_quadratic_n4(self, dims2):
         # f(s) = s^2 has Delta f = 2N = 8 in four dimensions
@@ -77,8 +83,7 @@ class TestHyperbolicLaplacian:
         op = hyperbolic_laplacian_radial(dims1, geo_grid)
         out = op @ np.ones(geo_grid.n_nodes)
         assert np.max(np.abs(out)) < 1e-6
-        mask = geo_grid.mesh.nodes > geo_grid.mesh.edges[3]
-        assert np.max(np.abs(out[mask])) < 1e-10
+        assert_roundoff_row_sums(op, out, geo_grid.degree)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_euclidean_radius_squared_formula(self, k):
@@ -222,52 +227,67 @@ class TestFactoredOperator:
         assert np.array_equal(cross, [P.quadratic_form(u, w) for u, w in zip(block, block[::-1])])
 
     @staticmethod
-    def sparse_sum_factor(P, j):
-        # the general sparse sum that the diagonal add on K's structure replaces
-        return (P.stiffness + P.shifts[j] * sp.diags(P.mass)).tocsr()
+    def sparse_product(P, absolute=False):
+        """omega B_1 M^{-1} B_2 ... M^{-1} B_k with the general sparse sums
+        B_j = K + sigma_j M; with absolute=True, the same product of |B_j|."""
+        factors = [(P.stiffness + s * sp.diags(P.mass)).tocsr() for s in P.shifts]
+        factors = [abs(B) for B in factors] if absolute else factors
+        weighted = factors[0]
+        for B in factors[1:]:
+            weighted = (weighted @ sp.diags(1.0 / P.mass) @ B).tocsr()
+        return (P.dims.omega_Nm1 * weighted).tocsr()
 
     @staticmethod
-    def assert_same_csr(A, B):
-        assert A.nnz == B.nnz
-        assert np.array_equal(A.indptr, B.indptr)
-        assert np.array_equal(A.indices, B.indices)
-        assert np.array_equal(A.data, B.data)
+    def band_of(H, bw):
+        """H in LAPACK general band storage (2 bw + 1, n) through DIA."""
+        dia = H.todia()
+        band = np.zeros((2 * bw + 1, H.shape[0]))
+        band[bw - dia.offsets] = dia.data[:, : H.shape[0]]
+        return band
 
     @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("degree", [4, 6])
     def test_factors_and_energy_matrix_match_sparse_sum(self, degree, k, restricted):
-        # bit for bit: the k=2 Newton certificate depends on the last bits of H0
+        # the band read off the factor chain against the multiplied-out sparse
+        # product: bit for bit at k = 1, where each entry is omega times one
+        # entry of K; from k = 2 on both routes round the same sums in other
+        # orders, each within k (2p + 3) eps of the product of the |B_j| (k
+        # chain steps of at most 2p + 3 rounded operations per entry), so
+        # they differ by at most twice that
         grid = RadialGrid.geodesic(r_max=12.0, n_elements=12, degree=degree, grading=1.5)
         P = gjms_assemble(DimensionParams(k), grid)
         if restricted:
             P = P.restrict(grid.n_nodes - 1)
-        factors = [self.sparse_sum_factor(P, j) for j in range(k)]
-        for j, B in enumerate(factors):
-            self.assert_same_csr(P.factor_matrix(j), B)
-        weighted = factors[0]
-        for B in factors[1:]:
-            weighted = (weighted @ sp.diags(1.0 / P.mass) @ B).tocsr()
-        self.assert_same_csr(P.energy_matrix, (P.dims.omega_Nm1 * weighted).tocsr())
+        bw = k * degree
+        band = P.energy_band()
+        expected = self.band_of(self.sparse_product(P), bw)
+        assert band.shape == expected.shape
+        if k == 1:
+            assert band.tobytes() == expected.tobytes()  # signed zeros too
+        bound = 2 * k * (2 * degree + 3) * np.finfo(float).eps
+        scale = self.band_of(self.sparse_product(P, absolute=True), bw)
+        assert np.all(np.abs(band - expected) <= bound * scale)
+        # the pointwise matrix stores the oracle's nonzeros
+        oracle = sp.diags(1.0 / (P.dims.omega_Nm1 * P.mass)) @ self.sparse_product(P)
+        assert P.matrix.nnz == oracle.tocsr().nnz
 
-    def test_factor_stores_no_zero_entry(self, dims2):
-        # like the sparse sum, a factor drops the entries that come out zero
-        K = sp.csr_matrix(([2.0, 0.0, 0.0, 3.0], [0, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
-        P = GJMSOperator(K, np.ones(2), gjms_shifts(2), dims2)
-        for j in range(2):
-            self.assert_same_csr(P.factor_matrix(j), self.sparse_sum_factor(P, j))
-        assert P.factor_matrix(0).nnz == 1 and K.nnz == 4
-
-    def test_factors_built_once(self, geo_grid):
-        P = gjms_assemble(DimensionParams(3), geo_grid)
-        B = P.factor_matrix(1)
-        assert P.factor_matrix(1) is B
-        assert B.shape == (geo_grid.n_nodes,) * 2
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_grouped_probes_equal_unit_columns(self, k, geo_grid):
+        # probe columns 2 bw + 1 apart never meet in a row of the product,
+        # so the grouped chain gives the bits of the chain on each e_j
+        P = gjms_assemble(DimensionParams(k), geo_grid)
+        z = P._weighted_factor(k - 1, np.eye(geo_grid.n_nodes))
+        for j in range(k - 2, -1, -1):
+            z = P._weighted_factor(j, z / P.mass[:, None])
+        bw = k * geo_grid.degree
+        expected = self.band_of(sp.csr_matrix(P.dims.omega_Nm1 * z), bw)
+        assert P.energy_band().tobytes() == expected.tobytes()
 
 
 def _bandwidth(op) -> int:
-    """Largest |row - col| of a stored entry of the energy matrix."""
-    coo = op.energy_matrix.tocoo()
+    """Largest |row - col| of a stored entry of the pointwise matrix."""
+    coo = op.matrix.tocoo()
     return int(np.max(np.abs(coo.row - coo.col)))
 
 
