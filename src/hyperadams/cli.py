@@ -52,19 +52,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads_env(arg_value) -> None:
+def _check_threads(arg_value) -> None:
+    """--threads, or HYPERADAMS_THREADS without it, must be a positive integer."""
     env = os.environ.get("HYPERADAMS_THREADS")
     if arg_value is None and env:
         try:
-            int(env)
+            arg_value = int(env)
         except ValueError:
             raise ConfigError(f"HYPERADAMS_THREADS={env!r} is not an integer")
+    if arg_value is not None and arg_value < 1:
+        raise ConfigError(f"threads must be a positive integer, got {arg_value}")
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_threads_env(args.threads)
+        _check_threads(args.threads)
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 
@@ -80,7 +81,14 @@ def random_smooth_profiles(grid: RadialGrid, rng, n: int) -> RadialFunction:
     [0.4, 2.5]."""
     draws = rng.uniform([-1.0] * 3 + [0.4] * 3, [1.0] * 3 + [2.5] * 3, size=(n, 6))
     r2 = grid.mesh.nodes**2
-    values = sum(draws[:, [i]] * np.exp(-draws[:, [3 + i]] * r2) for i in range(3))
+    # 0 + term_0 + term_1 + term_2, summed in place in that order
+    values = np.zeros((n, r2.size))
+    term = np.empty_like(values)
+    for i in range(3):
+        np.multiply(-draws[:, [3 + i]], r2, out=term)
+        np.exp(term, out=term)
+        term *= draws[:, [i]]
+        values += term
     return RadialFunction(grid, values)
 
 
@@ -94,7 +102,11 @@ def random_ball_profiles(
     s = grid.mesh.nodes
     base = np.clip(1.0 - (s / s0) ** 2, 0.0, None) ** (k + 3)
     coeffs = rng.uniform(-1.0, 1.0, size=(n, 3))
-    values = base * (coeffs[:, [0]] + coeffs[:, [1]] * s**2 + coeffs[:, [2]] * s**4)
+    # base * ((c_0 + c_1 s^2) + c_2 s^4), evaluated in place in that order
+    values = coeffs[:, [1]] * s**2
+    values += coeffs[:, [0]]
+    values += coeffs[:, [2]] * s**4
+    values *= base
     return RadialFunction(grid, values)
 
 
@@ -265,13 +277,17 @@ def run_blowup(cfg: ExperimentConfig) -> ExperimentReport:
     h0 = moser_first_width(min(cfg.params["m_list"]))  # the smallest m's is the widest
     if 0 < cfg.params["r_max"] <= h0:
         raise ConfigError(f"r_max = {r_max!r} must exceed the first element width {h0:.4g}")
-    records = blowup_experiment(
-        cfg.params["beta_list"],
-        cfg.params["m_list"],
-        k,
-        degree=cfg.params["poly_degree"],
-        r_max=r_max,
-    )
+    # the JSON keeps each warning stderr shows, such as a truncation tail
+    with warnings.catch_warnings(record=True) as caught:
+        records = blowup_experiment(
+            cfg.params["beta_list"],
+            cfg.params["m_list"],
+            k,
+            degree=cfg.params["poly_degree"],
+            r_max=r_max,
+        )
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     fits = blowup_slopes(records)
     rows = []
     for rec in records:
@@ -302,7 +318,10 @@ def run_blowup(cfg: ExperimentConfig) -> ExperimentReport:
             "max_over_min",
         ],
         rows=rows,
-        diagnostics={"fits": {f"{b:.6g}": f for b, f in fits.items()}},
+        diagnostics={
+            "fits": {f"{b:.6g}": f for b, f in fits.items()},
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+        },
     )
 
 

@@ -179,19 +179,19 @@ def geometric_edges(
 
 
 def column_dots(x, y):
-    """np.dot(x, y), or one np.dot per column of an (n, P) block y (x a
-    vector or a block of the same shape).
+    """np.dot(x, y), or one dot per column of an (n, P) block y (x a vector
+    or a block of the same shape).
 
-    Each dot runs on contiguous rows, so a block gives bitwise the values of
-    its single-profile calls; a strided dot, gemv or einsum would reduce in
-    another order.
+    A block is one batched matmul of contiguous (1, n) rows of x by (n, 1)
+    columns of y, which numpy runs as one BLAS ddot(x, y) per column: the
+    reduction np.dot(x, y) makes for one profile, so a block gives bitwise
+    the values of its single-profile calls.  A strided dot, gemv or einsum
+    would reduce in another order.
     """
     if y.ndim == 1:
         return float(np.dot(x, y))
-    rows = np.ascontiguousarray(y.T)
-    if x.ndim == 1:
-        return np.array([np.dot(x, row) for row in rows])
-    return np.array([np.dot(a, b) for a, b in zip(np.ascontiguousarray(x.T), rows)])
+    xs = x[None, :] if x.ndim == 1 else np.ascontiguousarray(x.T)[:, None, :]
+    return np.matmul(xs, np.ascontiguousarray(y.T)[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -484,6 +484,28 @@ class TestCLI:
         monkeypatch.setenv("HYPERADAMS_THREADS", "zebra")
         assert main(["run", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    @pytest.mark.parametrize(
+        "flag, env", [("0", None), ("-3", None), (None, "-1"), (None, "0")],
+        ids=["flag-0", "flag-negative", "env-negative", "env-0"],
+    )
+    def test_non_positive_threads_exit_2_no_output(
+        self, tmp_path, capsys, monkeypatch, command, flag, env
+    ):
+        cfg = write(
+            tmp_path, "i.cfg", "experiment = inequalities\nk_max = 1\nn_profiles = 4\n"
+        )
+        if env is None:
+            monkeypatch.delenv("HYPERADAMS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("HYPERADAMS_THREADS", env)
+        argv = [command, cfg, "--out", str(tmp_path / "out")]
+        assert main(argv + (["--threads", flag] if flag else [])) == 2
+        captured = capsys.readouterr()
+        assert "threads must be a positive integer" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_threads_preserve_determinism(self, tmp_path):
         cfg = write(
             tmp_path,
@@ -495,6 +517,36 @@ class TestCLI:
         assert main(["run", cfg, "--out", str(out1), "--threads", "1"]) == 0
         assert main(["run", cfg, "--out", str(out2), "--threads", "3"]) == 0
         assert csv_body(str(out1 / "blowup.csv")) == csv_body(str(out2 / "blowup.csv"))
+
+    def test_blowup_truncation_tail_is_in_the_json(self, tmp_path):
+        # r_max just above the first element width truncates the functional:
+        # the run still exits 0 with the same stderr, and the JSON says why
+        cfg = write(
+            tmp_path,
+            "b.cfg",
+            "experiment = blowup\nk = 1\nbeta_list = 13.823, 11.31\n"
+            "r_max = 0.11\nm_list = 2, 100\n",
+        )
+        message = (
+            "tail beyond the truncation radius exceeds 1e-12 of the functional; "
+            "increase R_max"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            with warnings.catch_warnings(record=True) as shown:
+                assert main(["run", cfg, "--out", str(tmp_path)]) == 0
+        assert [str(w.message) for w in shown] == [message]
+        assert "extremals.py" in shown[0].filename
+        payload = json.loads((tmp_path / "blowup.json").read_text())
+        assert payload["diagnostics"]["warnings"] == [f"UserWarning: {message}"]
+        clean = write(
+            tmp_path,
+            "c.cfg",
+            "experiment = blowup\nk = 1\nbeta_list = 13.823\nm_list = 100, 1000\n",
+        )
+        assert main(["run", clean, "--out", str(tmp_path / "c")]) == 0
+        payload = json.loads((tmp_path / "c" / "blowup.json").read_text())
+        assert payload["diagnostics"]["warnings"] == []
 
     def test_converge_inequalities_sign_stable(self, tmp_path):
         cfg = write(

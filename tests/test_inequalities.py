@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,12 +272,55 @@ class TestOwen:
             check_owen(u, 1)
 
 
+def full_array_suite(n_grid, seed):
+    """The scalar suite evaluated on all points at once: the chunked suite
+    must return the same dict."""
+    t = np.linspace(-50.0, 50.0, n_grid)
+    t = np.concatenate([t, np.random.default_rng(seed).uniform(-50, 50, 1000)])
+    lhs = np.expm1(t) ** 2
+    rhs1 = np.expm1(2 * t) - 2 * t
+    rhs2 = np.abs(np.expm1(2 * t))
+    tol = 4 * np.finfo(float).eps
+    direct1 = bool(np.all(lhs <= rhs1 * (1 + tol) + tol))
+    direct2 = bool(np.all(lhs <= rhs2 * (1 + tol) + tol))
+    rearranged1 = bool(np.all(2.0 * (np.expm1(t) - t) >= 0))
+    with np.errstate(over="ignore"):
+        gap2 = np.where(t >= 0, 2.0 * np.expm1(t), -2.0 * np.exp(t) * np.expm1(t))
+    rearranged2 = bool(np.all(gap2 >= 0))
+    return {
+        "first_direct": direct1,
+        "first_rearranged": rearranged1,
+        "second_direct": direct2,
+        "second_rearranged": rearranged2,
+        "equality_at_zero": True,
+        "n_points": int(t.size),
+        "passed": direct1 and direct2 and rearranged1 and rearranged2,
+    }
+
+
 class TestScalarSuite:
     def test_suite_passes(self):
         suite = scalar_inequality_suite()
         assert suite["passed"]
         assert suite["equality_at_zero"]
         assert suite["n_points"] >= 100_000
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_grid", [1, 8191, 100_001])
+    def test_chunks_give_the_full_array_dict(self, seed, n_grid):
+        # shorter than one chunk, not a multiple of it, and the default
+        assert scalar_inequality_suite(n_grid, seed) == full_array_suite(n_grid, seed)
+
+    def test_peak_memory_is_chunk_sized(self):
+        scalar_inequality_suite()  # numpy's lazy set-up is not the suite's
+        tracemalloc.start()
+        try:
+            scalar_inequality_suite()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 101,001 points alone take 0.8 MB; full-array checks peak at 6.6 MB
+        assert peak < 2.5e6
 
     def test_spot_values(self):
         # t = 1: (e-1)^2 <= e^2 - 3 ; t = -2: (e^-2 - 1)^2 <= e^-4 + 4 - 1

@@ -7,6 +7,7 @@ from hyperadams.mesh import (
     Mesh1D,
     _axis_rule,
     _reference_derivative,
+    column_dots,
     differentiation_matrix,
     gauss_legendre,
     gauss_lobatto,
@@ -239,3 +240,28 @@ def test_non_positive_axis_mass_is_a_discretization_error():
     mesh = Mesh1D(graded_edges(1.0, 4, 1.0), p=4)
     with pytest.raises(DiscretizationError, match="non-positive"):
         mesh.lumped_mass(mesh.nodes, axis_fn=lambda t: -t)
+
+
+def loop_column_dots(x, y):
+    """One np.dot per column of y: the reference column_dots must match."""
+    rows = np.ascontiguousarray(y.T)
+    if x.ndim == 1:
+        return np.array([np.dot(x, row) for row in rows])
+    return np.array([np.dot(a, b) for a, b in zip(np.ascontiguousarray(x.T), rows)])
+
+
+@pytest.mark.parametrize("P", [0, 1, 7, 358])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("x_is_block", [False, True], ids=["vector-x", "block-x"])
+def test_column_dots_is_bitwise_a_dot_per_column(P, order, x_is_block):
+    rng = np.random.default_rng(P)
+    n = 277
+    y = np.asarray(rng.standard_normal((n, P)), order=order)
+    x = rng.standard_normal((n, P) if x_is_block else n)
+    got, want = column_dots(x, y), loop_column_dots(x, y)
+    assert got.shape == want.shape == (P,) and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # each entry is also the bits of the call on contiguous copies of its column
+    for j in range(P):
+        xj = np.ascontiguousarray(x[:, j]) if x_is_block else x
+        assert got[j] == column_dots(xj, np.ascontiguousarray(y[:, j]))
