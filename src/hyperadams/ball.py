@@ -348,8 +348,6 @@ class RadialFunction:
 def integrate_radial(f: RadialFunction, dims: DimensionParams, measure: str = "hyperbolic"):
     """Quadrature of ``int f dv_g`` (or the flat-measure variant); an array
     of one integral per profile for a family."""
-    if not np.all(np.isfinite(f.values)):
-        raise NonFiniteSampleError("non-finite samples")
     if measure == "hyperbolic":
         density = f.grid.hyperbolic_density(dims)
     elif measure == "euclidean":
@@ -365,8 +363,7 @@ def tail_fraction(f: RadialFunction, dims: DimensionParams) -> float:
     total = f.grid.mesh.integrate(integrand)
     if total == 0.0:
         return 0.0
-    head = f.grid.mesh.integrate(integrand, x_max=float(f.grid.mesh.edges[-2]))
-    return abs(total - head) / total
+    return abs(f.grid.mesh.element_integrals(integrand)[-1]) / total
 
 
 # -- hyperbolic translations -------------------------------------------------

@@ -92,15 +92,13 @@ def random_smooth_profiles(grid: RadialGrid, rng, n: int) -> RadialFunction:
     return RadialFunction(grid, values)
 
 
-def random_ball_profiles(
-    grid: RadialGrid, rng, n: int, k: int, s0: float = 0.55
-) -> RadialFunction:
-    """Smooth profiles compactly supported inside the unit ball (Owen sweeps),
-    as one (n, n_nodes) block.
+def random_ball_profiles(grid: RadialGrid, rng, n: int, k: int) -> RadialFunction:
+    """Smooth profiles compactly supported in the ball of radius 0.55 (Owen
+    sweeps), as one (n, n_nodes) block.
 
     The bump power grows with k so grad^k stays continuous."""
     s = grid.mesh.nodes
-    base = np.clip(1.0 - (s / s0) ** 2, 0.0, None) ** (k + 3)
+    base = np.clip(1.0 - (s / 0.55) ** 2, 0.0, None) ** (k + 3)
     coeffs = rng.uniform(-1.0, 1.0, size=(n, 3))
     # base * ((c_0 + c_1 s^2) + c_2 s^4), evaluated in place in that order
     values = coeffs[:, [1]] * s**2
@@ -277,7 +275,8 @@ def run_blowup(cfg: ExperimentConfig) -> ExperimentReport:
     h0 = moser_first_width(min(cfg.params["m_list"]))  # the smallest m's is the widest
     if 0 < cfg.params["r_max"] <= h0:
         raise ConfigError(f"r_max = {r_max!r} must exceed the first element width {h0:.4g}")
-    # the JSON keeps each warning stderr shows, such as a truncation tail
+    # the JSON keeps each warning stderr shows, such as a truncation tail or
+    # an ill-conditioned slope fit
     with warnings.catch_warnings(record=True) as caught:
         records = blowup_experiment(
             cfg.params["beta_list"],
@@ -286,9 +285,9 @@ def run_blowup(cfg: ExperimentConfig) -> ExperimentReport:
             degree=cfg.params["poly_degree"],
             r_max=r_max,
         )
+        fits = blowup_slopes(records)
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-    fits = blowup_slopes(records)
     rows = []
     for rec in records:
         fit = fits[rec.beta]

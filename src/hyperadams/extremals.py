@@ -364,9 +364,9 @@ def blowup_experiment(
 
 def _loglog_slope(pairs) -> float:
     """Regression slope of log value against log m over the finite, positive
-    (m, value) pairs; nan with fewer than two."""
+    (m, value) pairs; nan with fewer than two distinct log m."""
     pts = [(math.log(m), math.log(v)) for m, v in pairs if math.isfinite(v) and v > 0]
-    if len(pts) < 2:
+    if len({x for x, _ in pts}) < 2:
         return math.nan
     x, y = np.array(pts).T
     return float(np.polyfit(x, y, 1)[0])

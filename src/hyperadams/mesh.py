@@ -3,7 +3,7 @@
 One mesh serves three jobs at once:
 
 * positive-weight quadrature of ``int c(t) f(t) dt`` (element-wise
-  Gauss-Lobatto rule, sub-interval integration exact at element edges),
+  Gauss-Lobatto rule, over the mesh or per element),
 * weighted stiffness forms ``int c(t) f'(t) g'(t) dt`` assembled per element
   from the exact differentiation matrix of the local interpolant, giving a
   symmetric positive-semidefinite sparse matrix, and
@@ -215,7 +215,7 @@ class Mesh1D:
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
         object.__setattr__(self, "edges", edges)
-        xi, _ = gauss_lobatto(self.p)
+        xi, wref = gauss_lobatto(self.p)
         n_el = edges.size - 1
         elements = np.arange(n_el)[:, None] * self.p + np.arange(self.p + 1)
         jac = 0.5 * (edges[1:] - edges[:-1])
@@ -225,7 +225,9 @@ class Mesh1D:
         # an interface node keeps the right element's value
         nodes = np.append(local[:, :-1], local[-1, -1])
         object.__setattr__(self, "nodes", _read_only(nodes))
-        object.__setattr__(self, "quad_w", _read_only(self._left_weights(n_el)))
+        # an interface node sums its left element's share, then its right's
+        quad_w = np.bincount(elements.ravel(), weights=(wref * jac[:, None]).ravel())
+        object.__setattr__(self, "quad_w", _read_only(quad_w))
 
     @property
     def n_elements(self) -> int:
@@ -235,33 +237,14 @@ class Mesh1D:
     def n_nodes(self) -> int:
         return self.nodes.size
 
-    def integrate(self, values: np.ndarray, x_max: float | None = None):
-        """Quadrature of nodal data, optionally truncated at an element edge.
+    def integrate(self, values: np.ndarray):
+        """Quadrature of nodal data; a (P, n) block gives one value per row
+        (see ``column_dots``)."""
+        return column_dots(self.quad_w, np.asarray(values, dtype=float).T)
 
-        A (P, n) block gives one value per row (see ``column_dots``).
-        """
-        values = np.asarray(values, dtype=float)
-        weights = self.quad_w
-        if x_max is not None:
-            idx = int(np.argmin(np.abs(self.edges - x_max)))
-            if abs(self.edges[idx] - x_max) > 1e-9 * max(1.0, abs(x_max)):
-                raise ValueError(
-                    f"x_max={x_max} is not an element edge; nearest is {self.edges[idx]}"
-                )
-            weights = self._left_weights(idx)
-            values = values[..., : weights.size]
-        return column_dots(weights, values.T)
-
-    def _left_weights(self, edge_idx: int) -> np.ndarray:
-        """Quadrature weights for [edges[0], edges[edge_idx]] only.
-
-        An interface node sums its left element's share, then its right's."""
-        _, wref = gauss_lobatto(self.p)
-        return np.bincount(
-            self.elements[:edge_idx].ravel(),
-            weights=(wref * self.jac[:edge_idx, None]).ravel(),
-            minlength=edge_idx * self.p + 1,
-        )
+    def element_integrals(self, values: np.ndarray) -> np.ndarray:
+        """Gauss-Lobatto integral of 1-D nodal data over each element."""
+        return self.jac * (values[self.elements] @ gauss_lobatto(self.p)[1])
 
     @functools.cached_property
     def _csr_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

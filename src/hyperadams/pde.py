@@ -37,7 +37,7 @@ from .errors import (
     OverflowNodeError,
 )
 from .inequalities import EXP_OVERFLOW_LIMIT, beta0
-from .mesh import Mesh1D, gauss_lobatto, graded_edges
+from .mesh import Mesh1D, graded_edges
 from .operators import gjms_assemble
 
 CONVEX = "convex"
@@ -48,50 +48,31 @@ LOG_CONSTRAINED = "log-constrained"
 # difference of two values of J resolves; the line search then takes t = 1
 FULL_STEP_DECREASE = 1e-10
 
-_FAMILIES = {}
 
-
-def radial_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
-    """Named radial data families for Q1/Q2 (gaussian, bump, rational-decay)."""
-    try:
-        factory = _FAMILIES[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown radial family {name!r}; choose from {sorted(_FAMILIES)}"
-        ) from None
-    return factory(**params)
-
-
-def _register(name):
-    def deco(fn):
-        _FAMILIES[name] = fn
-        return fn
-
-    return deco
-
-
-@_register("gaussian")
-def _gaussian(amplitude: float = 1.0, width: float = 1.0, **_ignored):
-    if width <= 0:
-        raise DomainError("gaussian width must be positive")
-    return lambda r: amplitude * np.exp(-((np.asarray(r) / width) ** 2))
-
-
-@_register("bump")
-def _bump(amplitude: float = 1.0, radius: float = 2.0, **_ignored):
-    if radius <= 0:
-        raise DomainError("bump radius must be positive")
-
-    def fn(r):
-        z = 1.0 - (np.asarray(r, dtype=float) / radius) ** 2
-        return amplitude * np.clip(z, 0.0, None) ** 3
-
-    return fn
-
-
-@_register("rational-decay")
-def _rational(amplitude: float = 1.0, power: float = 2.0, **_ignored):
-    return lambda r: amplitude * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-power)
+def radial_family(
+    name: str,
+    amplitude: float = 1.0,
+    width: float = 1.0,
+    radius: float = 2.0,
+    power: float = 2.0,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Named radial data families for Q1/Q2: gaussian (amplitude, width), bump
+    (amplitude, radius) and rational-decay (amplitude, power)."""
+    if name == "gaussian":
+        if width <= 0:
+            raise DomainError("gaussian width must be positive")
+        return lambda r: amplitude * np.exp(-((np.asarray(r) / width) ** 2))
+    if name == "bump":
+        if radius <= 0:
+            raise DomainError("bump radius must be positive")
+        return lambda r: amplitude * np.clip(
+            1.0 - (np.asarray(r, dtype=float) / radius) ** 2, 0.0, None
+        ) ** 3
+    if name == "rational-decay":
+        return lambda r: amplitude * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-power)
+    raise DomainError(
+        f"unknown radial family {name!r}; choose from ['bump', 'gaussian', 'rational-decay']"
+    )
 
 
 def square_integrable_dv(
@@ -120,7 +101,7 @@ def square_integrable_dv(
             f"lower r_max below {limit - 12.0:.1f}"
         )
     f2w = np.asarray(fn(mesh.nodes), dtype=float) ** 2 * weight
-    per_element = mesh.jac * (f2w[mesh.elements] @ gauss_lobatto(6)[1])
+    per_element = mesh.element_integrals(f2w)
     base = per_element[:24].sum()
     blocks = per_element[24:].reshape(3, 4).sum(axis=1)
     growing = blocks[-1] > blocks[0] * 1.000001 and blocks[-1] > 1e-300

@@ -67,11 +67,8 @@ class ExperimentReport:
     wall_time_s: float = 0.0
     failure: str | None = None
 
-    def csv_text(self, timestamp: bool = True) -> str:
-        lines = []
-        if timestamp:
-            lines.append(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
-        lines.append(",".join(self.columns))
+    def csv_text(self) -> str:
+        lines = [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S%z')}", ",".join(self.columns)]
         for row in self.rows:
             lines.append(",".join(format_cell(x) for x in row))
         return "\n".join(lines) + "\n"

@@ -548,6 +548,29 @@ class TestCLI:
         payload = json.loads((tmp_path / "c" / "blowup.json").read_text())
         assert payload["diagnostics"]["warnings"] == []
 
+    def test_blowup_fit_warning_is_in_the_json(self, tmp_path):
+        # two m whose logs differ by one ulp make the slope fit ill-conditioned;
+        # the JSON lists the warnings stderr shows
+        cfg = write(
+            tmp_path,
+            "b.cfg",
+            "experiment = blowup\nk = 1\nbeta_list = 13.8\n"
+            "m_list = 100000000000000, 100000000000001\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            with warnings.catch_warnings(record=True) as shown:
+                assert main(["run", cfg, "--out", str(tmp_path)]) == 0
+        assert shown and all(
+            "Polyfit may be poorly conditioned" in str(w.message)
+            and "extremals.py" in w.filename
+            for w in shown
+        )
+        payload = json.loads((tmp_path / "blowup.json").read_text())
+        assert payload["diagnostics"]["warnings"] == [
+            f"{w.category.__name__}: {w.message}" for w in shown
+        ]
+
     def test_converge_inequalities_sign_stable(self, tmp_path):
         cfg = write(
             tmp_path,

@@ -180,6 +180,17 @@ class TestBlowup:
         fit = blowup_slopes(recs)[beta]
         assert abs(fit["core_slope"] - fit["predicted_exponent"]) <= rel_tol * 0.1 * k
 
+    @pytest.mark.parametrize(
+        "m_list", [(100, 100), (10**15, 10**15 + 1)], ids=["equal", "equal-logs"]
+    )
+    def test_slopes_nan_over_one_distinct_m(self, m_list):
+        # a line through coincident points has no slope (10^15 and 10^15 + 1
+        # have the same double log)
+        recs = blowup_experiment([1.1 * B0], list(m_list), k=1)
+        assert all(math.isfinite(r.functional_value) for r in recs)
+        fit = blowup_slopes(recs)[1.1 * B0]
+        assert math.isnan(fit["slope"]) and math.isnan(fit["core_slope"])
+
     def test_k2_runs(self):
         recs = blowup_experiment([1.2 * 2 * moser_normalizer(2) * 2], [100, 1000], k=2)
         assert all(r.functional_value > 0 for r in recs)

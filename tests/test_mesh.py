@@ -64,15 +64,7 @@ def test_lumped_mass_axis_correction_positive():
         assert np.all(m > 0)
 
 
-def test_integrate_subinterval_requires_edge():
-    mesh = Mesh1D(np.array([0.0, 0.5, 1.0, 2.0]), p=4)
-    f = np.ones(mesh.n_nodes)
-    assert abs(mesh.integrate(f, x_max=1.0) - 1.0) < 1e-14
-    with pytest.raises(ValueError):
-        mesh.integrate(f, x_max=0.7)
-
-
-def test_integrate_to_every_edge_sums_element_integrals():
+def test_element_integrals_match_one_element_meshes():
     edges = geometric_edges(3.0, 0.05, ratio=1.6, forced=(1.0,))
     mesh = Mesh1D(edges, p=5)
 
@@ -80,11 +72,11 @@ def test_integrate_to_every_edge_sums_element_integrals():
         return np.exp(-t) * np.cos(3.0 * t)
 
     pieces = [Mesh1D(edges[e : e + 2], p=5) for e in range(edges.size - 1)]
-    element_integrals = [sub.integrate(fn(sub.nodes)) for sub in pieces]
-    assert mesh.integrate(fn(mesh.nodes), x_max=edges[0]) == 0.0
-    for e in range(1, edges.size):
-        got = mesh.integrate(fn(mesh.nodes), x_max=edges[e])
-        assert abs(got - sum(element_integrals[:e])) < 1e-14
+    want = [sub.integrate(fn(sub.nodes)) for sub in pieces]
+    got = mesh.element_integrals(fn(mesh.nodes))
+    assert got.shape == (mesh.n_elements,)
+    assert np.max(np.abs(got - want)) < 1e-14
+    assert abs(got.sum() - mesh.integrate(fn(mesh.nodes))) < 1e-14
 
 
 def test_pointwise_derivative_interface_average():

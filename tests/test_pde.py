@@ -152,8 +152,48 @@ class TestFamilies:
             )
 
     def test_unknown_family(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             radial_family("sawtooth")
+        assert str(exc.value) == (
+            "unknown radial family 'sawtooth'; choose from "
+            "['bump', 'gaussian', 'rational-decay']"
+        )
+
+    def test_families_are_their_closed_forms(self):
+        r = np.array([0.0, 0.5, 1.7, 2.0, 3.0])
+        cases = [
+            (radial_family("gaussian"), np.exp(-(r**2))),
+            (
+                radial_family("gaussian", amplitude=0.3, width=1.2),
+                0.3 * np.exp(-((r / 1.2) ** 2)),
+            ),
+            (radial_family("bump"), np.where(r < 2.0, (1.0 - (r / 2.0) ** 2) ** 3, 0.0)),
+            (
+                radial_family("bump", amplitude=-0.7, radius=1.5),
+                np.where(r < 1.5, -0.7 * (1.0 - (r / 1.5) ** 2) ** 3, 0.0),
+            ),
+            (radial_family("rational-decay"), (1.0 + r**2) ** -2.0),
+            (
+                radial_family("rational-decay", amplitude=2.0, power=1.5),
+                2.0 * (1.0 + r**2) ** -1.5,
+            ),
+            # the config passes every key; a family reads only its own
+            (radial_family("gaussian", radius=-1.0, power=5.0), np.exp(-(r**2))),
+        ]
+        for fn, want in cases:
+            assert np.array_equal(fn(r), want)
+
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("gaussian", {"width": 0.0}, "gaussian width must be positive"),
+            ("bump", {"radius": -1.0}, "bump radius must be positive"),
+        ],
+    )
+    def test_family_parameter_messages(self, name, params, message):
+        with pytest.raises(DomainError) as exc:
+            radial_family(name, **params)
+        assert str(exc.value) == message
 
     def test_convex_mode_requires_nonpositive_q2(self, pde_grid):
         with pytest.raises(DomainError, match="Q2 <= 0"):
