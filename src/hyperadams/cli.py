@@ -15,6 +15,7 @@ import argparse
 import functools
 import os
 import sys
+import time
 
 from .config import load_config
 from .errors import ConfigError, DiscretizationError, NonFiniteSampleError
@@ -69,22 +70,16 @@ def main(argv=None) -> int:
     try:
         _check_threads(args.threads)
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = args.out or cfg.output or "."
-    try:
-        if args.command == "run":
-            report = run_experiment(cfg)
-        else:
-            report = convergence_study(cfg)
+        start = time.perf_counter()
+        report = (run_experiment if args.command == "run" else convergence_study)(cfg)
+        report.wall_time_s = time.perf_counter() - start
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DiscretizationError, NonFiniteSampleError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    csv_path, json_path = report.write(out_dir)
+    csv_path, json_path = report.write(args.out or cfg.output or ".")
     print(f"wrote {csv_path} and {json_path} ({report.wall_time_s:.2f}s)")
     if report.failure:
         print(report.failure, file=sys.stderr)

@@ -5,13 +5,13 @@ ExperimentReport whose CSV body is a pure function of (config, seed).
 Randomized sweeps draw from numpy's PCG64 generator seeded from the config.
 A runner or refinement study whose check fails says so in
 ``ExperimentReport.failure``; the CLI turns that into an exit code.
+Every report's CSV header is its entry in ``COLUMNS``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import time
 import warnings
 
 import numpy as np
@@ -47,6 +47,38 @@ from .mesh import graded_edges
 from .operators import SCHEME_ORDER, euclidean_gradk_energy, gjms_assemble
 from .pde import CONVEX, PDEProblem, solve_convex, solve_log_constrained
 from .reporting import ExperimentReport
+
+# CSV header of each report, as the README lists it: the seven runs, then
+# the three refinement studies
+COLUMNS = {
+    "constants": "quantity, k, N, value, reference_value, rel_deviation",
+    "conformal-identity": "k, bump, n_elements, n_nodes, gjms_energy, euclidean_energy, rel_error",
+    "inequalities": "check, k, l, n_samples, min_or_value, median_or_param",
+    "blowup": "k, beta, m, energy, functional, slope_fit, slope_target, max_over_min",
+    "sobolev-asymptotics": "k, m, p, s_upper, p_s_upper, target_2beta0e",
+    "solve-pde": "mode, k, iterations, converged, objective, residual_norm, additive_constant",
+    "isometry-2d": "b_x, b_y, int_u2, int_composed, rel_integral_dev, rel_laplacian_dev",
+    "conformal-identity-convergence": "case, coarse_error, fine_error, observed_order, monotone",
+    "inequalities-convergence": "case, n_elements, margin_sign, placeholder",
+    "solve-pde-convergence": "case, n_elements, residual, converged",
+}
+
+
+def _report(
+    cfg: ExperimentConfig, rows, diagnostics=None, failure=None, name=None
+) -> ExperimentReport:
+    """The report named ``name`` (default: the config's experiment) of a run
+    of ``cfg``, with its config echo and its ``COLUMNS`` header."""
+    name = name or cfg.experiment
+    return ExperimentReport(
+        experiment=name,
+        config_echo=cfg.canonical(),
+        columns=COLUMNS[name].split(", "),
+        rows=rows,
+        diagnostics=diagnostics or {},
+        failure=failure,
+    )
+
 
 # fixed smooth bump family used by the conformal-identity experiment
 BUMPS = {
@@ -133,12 +165,7 @@ def run_constants(cfg: ExperimentConfig) -> ExperimentReport:
     for k in (1, 2):
         for N in range(2 * k + 1, 2 * k + 5):
             rows.append(("liu_sphere_convention", k, N, liu_constant(k, N), 0.0, 0.0))
-    return ExperimentReport(
-        experiment="constants",
-        config_echo=cfg.canonical(),
-        columns=["quantity", "k", "N", "value", "reference_value", "rel_deviation"],
-        rows=rows,
-    )
+    return _report(cfg, rows)
 
 
 def flat_oracle_grid(r_max: float) -> RadialGrid:
@@ -196,21 +223,7 @@ def run_conformal_identity(cfg: ExperimentConfig) -> ExperimentReport:
                 "pair_orders": pair_orders,
                 "observed_order": aggregate,
             }
-    return ExperimentReport(
-        experiment="conformal-identity",
-        config_echo=cfg.canonical(),
-        columns=[
-            "k",
-            "bump",
-            "n_elements",
-            "n_nodes",
-            "gjms_energy",
-            "euclidean_energy",
-            "rel_error",
-        ],
-        rows=rows,
-        diagnostics={"orders": orders, "scheme_order": SCHEME_ORDER},
-    )
+    return _report(cfg, rows, {"orders": orders, "scheme_order": SCHEME_ORDER})
 
 
 def _margin_summary(check: str, k: int, l: int, margins) -> tuple:
@@ -260,13 +273,7 @@ def run_inequalities(cfg: ExperimentConfig) -> ExperimentReport:
             0.0,
         )
     )
-    return ExperimentReport(
-        experiment="inequalities",
-        config_echo=cfg.canonical(),
-        columns=["check", "k", "l", "n_samples", "min_or_value", "median_or_param"],
-        rows=rows,
-        diagnostics={"scalar_suite": suite},
-    )
+    return _report(cfg, rows, {"scalar_suite": suite})
 
 
 def run_blowup(cfg: ExperimentConfig) -> ExperimentReport:
@@ -290,6 +297,11 @@ def run_blowup(cfg: ExperimentConfig) -> ExperimentReport:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     rows = []
     for rec in records:
+        if not math.isfinite(rec.functional_value):
+            raise DiscretizationError(
+                f"the functional at beta = {rec.beta:.6g}, m = {rec.m:.6g} is not finite; "
+                "lower beta or m"
+            )
         fit = fits[rec.beta]
         rows.append(
             (
@@ -303,21 +315,10 @@ def run_blowup(cfg: ExperimentConfig) -> ExperimentReport:
                 fit["max_over_min"],
             )
         )
-    return ExperimentReport(
-        experiment="blowup",
-        config_echo=cfg.canonical(),
-        columns=[
-            "k",
-            "beta",
-            "m",
-            "energy",
-            "functional",
-            "slope_fit",
-            "slope_target",
-            "max_over_min",
-        ],
-        rows=rows,
-        diagnostics={
+    return _report(
+        cfg,
+        rows,
+        {
             "fits": {f"{b:.6g}": f for b, f in fits.items()},
             "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
         },
@@ -336,12 +337,10 @@ def run_sobolev_asymptotics(cfg: ExperimentConfig) -> ExperimentReport:
         if len(trend) > 1
         else True
     )
-    return ExperimentReport(
-        experiment="sobolev-asymptotics",
-        config_echo=cfg.canonical(),
-        columns=["k", "m", "p", "s_upper", "p_s_upper", "target_2beta0e"],
-        rows=rows,
-        diagnostics={
+    return _report(
+        cfg,
+        rows,
+        {
             "final_rel_dev": abs(trend[-1] - rows_data[-1].target) / rows_data[-1].target,
             "moving_toward_target": moving_toward,
         },
@@ -384,20 +383,10 @@ def run_solve_pde(cfg: ExperimentConfig) -> ExperimentReport:
             result.additive_constant if result.additive_constant is not None else 0.0,
         )
     ]
-    return ExperimentReport(
-        experiment="solve-pde",
-        config_echo=cfg.canonical(),
-        columns=[
-            "mode",
-            "k",
-            "iterations",
-            "converged",
-            "objective",
-            "residual_norm",
-            "additive_constant",
-        ],
-        rows=rows,
-        diagnostics={
+    return _report(
+        cfg,
+        rows,
+        {
             "message": result.message,
             "objective_history": list(result.objective_history),
             "step_lengths": list(result.step_lengths),
@@ -465,12 +454,7 @@ def run_isometry_2d(cfg: ExperimentConfig) -> ExperimentReport:
                 sup_dev / sup_ref,
             )
         )
-    return ExperimentReport(
-        experiment="isometry-2d",
-        config_echo=cfg.canonical(),
-        columns=["b_x", "b_y", "int_u2", "int_composed", "rel_integral_dev", "rel_laplacian_dev"],
-        rows=rows,
-    )
+    return _report(cfg, rows)
 
 
 _RUNNERS = {
@@ -485,10 +469,7 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    start = time.perf_counter()
-    report = _RUNNERS[cfg.experiment](cfg)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return _RUNNERS[cfg.experiment](cfg)
 
 
 def _at_level(cfg: ExperimentConfig, **params) -> ExperimentConfig:
@@ -496,7 +477,7 @@ def _at_level(cfg: ExperimentConfig, **params) -> ExperimentConfig:
 
 
 # -- refinement studies -------------------------------------------------------
-# Each returns (columns, rows, diagnostics, passed, the check it makes).
+# Each returns (rows, diagnostics, passed, the check it makes).
 
 
 def _conformal_study(cfg: ExperimentConfig):
@@ -511,7 +492,6 @@ def _conformal_study(cfg: ExperimentConfig):
     if not all(row[4] for row in rows):
         diagnostics["non_monotone"] = [row[0] for row in rows if not row[4]]
     return (
-        ["case", "coarse_error", "fine_error", "observed_order", "monotone"],
         rows,
         diagnostics,
         worst >= SCHEME_ORDER - 0.5,
@@ -534,7 +514,6 @@ def _inequalities_study(cfg: ExperimentConfig):
             rows.append((f"{check}_k{k}_l{l}", n_el, sign, True))
     passed = all(len({level[key] for level in signs}) == 1 for key in signs[0])
     return (
-        ["case", "n_elements", "margin_sign", "placeholder"],
         rows,
         {"sign_stable": passed},
         passed,
@@ -550,7 +529,6 @@ def _pde_study(cfg: ExperimentConfig):
         rows.append((f"level{lvl}", n_el, row[5], row[3]))
     passed = all(row[2] <= cfg.params["tol"] for row in rows)
     return (
-        ["case", "n_elements", "residual", "converged"],
         rows,
         {"tol_saturated": passed},
         passed,
@@ -571,15 +549,11 @@ def convergence_study(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError(
             f"experiment {cfg.experiment!r} does not support refinement studies"
         )
-    start = time.perf_counter()
-    columns, rows, diagnostics, passed, check = _STUDIES[cfg.experiment](cfg)
-    report = ExperimentReport(
-        experiment=f"{cfg.experiment}-convergence",
-        config_echo=cfg.canonical(),
-        columns=columns,
-        rows=rows,
-        diagnostics={"scheme_order": SCHEME_ORDER, **diagnostics, "passed": passed},
+    rows, diagnostics, passed, check = _STUDIES[cfg.experiment](cfg)
+    return _report(
+        cfg,
+        rows,
+        {"scheme_order": SCHEME_ORDER, **diagnostics, "passed": passed},
         failure=None if passed else f"convergence study failed: {check}",
+        name=f"{cfg.experiment}-convergence",
     )
-    report.wall_time_s = time.perf_counter() - start
-    return report

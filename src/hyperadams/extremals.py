@@ -364,9 +364,11 @@ def blowup_experiment(
 
 def _loglog_slope(pairs) -> float:
     """Regression slope of log value against log m over the finite, positive
-    (m, value) pairs; nan with fewer than two distinct log m."""
+    (m, value) pairs; nan when the log m span is at most 1e-8 of the largest
+    |log m| (fewer than two distinct log m included), too short to resolve."""
     pts = [(math.log(m), math.log(v)) for m, v in pairs if math.isfinite(v) and v > 0]
-    if len({x for x, _ in pts}) < 2:
+    logs = [x for x, _ in pts]
+    if len(logs) < 2 or max(logs) - min(logs) <= 1e-8 * max(map(abs, logs)):
         return math.nan
     x, y = np.array(pts).T
     return float(np.polyfit(x, y, 1)[0])

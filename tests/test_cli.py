@@ -21,11 +21,21 @@ from hyperadams.config import (
     validate_config,
 )
 from hyperadams.errors import ConfigError
+from hyperadams.experiments import COLUMNS
 from hyperadams.mesh import Mesh1D
 from hyperadams.reporting import ExperimentReport, csv_body, format_cell
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED_CONFIGS = sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg"))
+# the shipped configs whose experiment has a refinement study
+STUDY_CONFIGS = [
+    "conformal_identity.cfg",
+    "inequalities.cfg",
+    "solve_pde_convex_k2.cfg",
+    "solve_pde_linear_k1.cfg",
+    "solve_pde_log_k1.cfg",
+]
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write(tmp_path, name, text):
@@ -55,6 +65,17 @@ def benchmark_configs(seed: int) -> list:
         for name in workloads.WORKLOADS
         for op in workloads.build(name, seed, CONFIG_DIR)
     ]
+
+
+def readme_columns() -> dict:
+    """The README's "CSV columns per experiment" table: report name -> header."""
+    with open(README) as fh:
+        text = fh.read()
+    table = text[text.index("CSV columns per experiment") :].split("\n\n")[1]
+    return {
+        cells[1].strip(" `"): cells[2].strip(" `")
+        for cells in (line.split("|") for line in table.splitlines()[2:])
+    }
 
 
 # a valid value for each required key, so that a config fails on one key only
@@ -347,6 +368,21 @@ class TestCLI:
         )
         assert not out.exists()
 
+    def test_overflowed_blowup_functional_exit_3_no_output(self, tmp_path, capsys):
+        # at k = 2, 1.1 beta0 and m = 1e150 the functional is inf: a
+        # numerical failure naming beta and m, not an inf CSV cell
+        text = (
+            "experiment = blowup\nk = 2\nbeta_list = 347.3\n"
+            f"m_list = {10**30}, {10**150}\n"
+        )
+        cfg = write(tmp_path, "huge.cfg", text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: the functional at beta = 347.3, m = 1e+150" in err
+        assert "lower beta or m" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -549,21 +585,22 @@ class TestCLI:
         assert payload["diagnostics"]["warnings"] == []
 
     def test_blowup_fit_warning_is_in_the_json(self, tmp_path):
-        # two m whose logs differ by one ulp make the slope fit ill-conditioned;
-        # the JSON lists the warnings stderr shows
+        # the warnings raised while the records and their fits are computed
+        # (here the truncation tail of r_max = 0.5) are shown on stderr, and
+        # the JSON lists them; a span of log m too short for a fit gives a nan
+        # slope and no warning
         cfg = write(
             tmp_path,
             "b.cfg",
             "experiment = blowup\nk = 1\nbeta_list = 13.8\n"
-            "m_list = 100000000000000, 100000000000001\n",
+            "m_list = 100, 1000\nr_max = 0.5\n",
         )
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             with warnings.catch_warnings(record=True) as shown:
                 assert main(["run", cfg, "--out", str(tmp_path)]) == 0
         assert shown and all(
-            "Polyfit may be poorly conditioned" in str(w.message)
-            and "extremals.py" in w.filename
+            "increase R_max" in str(w.message) and "extremals.py" in w.filename
             for w in shown
         )
         payload = json.loads((tmp_path / "blowup.json").read_text())
@@ -635,13 +672,32 @@ class TestShippedConfigs:
         cfg = os.path.join(CONFIG_DIR, name)
         assert main(["run", cfg, "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize(
-        "name",
-        ["solve_pde_linear_k1.cfg", "solve_pde_log_k1.cfg", "solve_pde_convex_k2.cfg"],
-    )
+    @pytest.mark.parametrize("name", STUDY_CONFIGS)
     def test_converge_solve_pde_exits_zero(self, name, tmp_path):
+        # every shipped config whose experiment has a refinement study
         cfg = os.path.join(CONFIG_DIR, name)
         assert main(["converge", cfg, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("name", sorted(set(SHIPPED_CONFIGS) - set(STUDY_CONFIGS)))
+    def test_converge_without_study_exits_2(self, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["converge", os.path.join(CONFIG_DIR, name), "--out", str(out)]) == 2
+        assert "does not support refinement studies" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_headers_are_the_columns_table(self, tmp_path):
+        # one header per report: the README table is COLUMNS, COLUMNS names
+        # the seven runs and the three studies, and line 2 of each written
+        # CSV is its entry
+        studies = ("conformal-identity", "inequalities", "solve-pde")
+        assert set(COLUMNS) == set(SCHEMAS) | {f"{e}-convergence" for e in studies}
+        assert readme_columns() == COLUMNS
+        for command, names in (("run", SHIPPED_CONFIGS), ("converge", STUDY_CONFIGS)):
+            for name in names:
+                out = tmp_path / command / name
+                assert main([command, os.path.join(CONFIG_DIR, name), "--out", str(out)]) == 0
+                (csv,) = out.glob("*.csv")
+                assert csv.read_text().split("\n")[1] == COLUMNS[csv.stem].replace(", ", ",")
 
     @pytest.mark.parametrize("command", ["run", "converge"])
     @pytest.mark.parametrize(

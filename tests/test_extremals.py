@@ -181,11 +181,14 @@ class TestBlowup:
         assert abs(fit["core_slope"] - fit["predicted_exponent"]) <= rel_tol * 0.1 * k
 
     @pytest.mark.parametrize(
-        "m_list", [(100, 100), (10**15, 10**15 + 1)], ids=["equal", "equal-logs"]
+        "m_list",
+        [(100, 100), (10**15, 10**15 + 1), (10**14, 10**14 + 1)],
+        ids=["equal", "equal-logs", "one-ulp-logs"],
     )
     def test_slopes_nan_over_one_distinct_m(self, m_list):
         # a line through coincident points has no slope (10^15 and 10^15 + 1
-        # have the same double log)
+        # have the same double log), nor one through logs an ulp apart
+        # (10^14 and 10^14 + 1)
         recs = blowup_experiment([1.1 * B0], list(m_list), k=1)
         assert all(math.isfinite(r.functional_value) for r in recs)
         fit = blowup_slopes(recs)[1.1 * B0]
