@@ -248,19 +248,6 @@ class RadialGrid:
         ds_dr = 0.5 * oms * (1.0 + s)  # (1 - s^2)/2
         return dims.omega_Nm1 * s ** (dims.N - 1) * ds_dr
 
-    def hyperbolic_density_euclidean_form(self, dims: DimensionParams) -> np.ndarray:
-        """The same density as ``hyperbolic_density`` assembled from the
-        Euclidean-coordinate expression s^{N-1} (2/(1-s^2))^N ds/dr.
-        Provided for the coordinate-consistency cross-check."""
-        if self.coordinate != GEODESIC:
-            raise DomainError("cross-check form defined on geodesic grids")
-        s, oms = self._s, self.one_minus_s
-        one_minus_s2 = oms * (1.0 + s)
-        ds_dr = 0.5 * one_minus_s2
-        return (
-            dims.omega_Nm1 * s ** (dims.N - 1) * (2.0 / one_minus_s2) ** dims.N * ds_dr
-        )
-
     # -- operator coefficients (used by the operators module) ---------------
 
     def laplacian_coefficients(self, metric: str, dims: DimensionParams):
@@ -332,10 +319,6 @@ class RadialFunction:
     ) -> "RadialFunction":
         """Sample ``fn`` at the grid's primary-coordinate nodes."""
         return cls(grid, np.asarray(fn(grid.mesh.nodes), dtype=float))
-
-    @property
-    def origin_value(self) -> float:
-        return float(self.values[0])
 
     def eval(self, x) -> np.ndarray:
         """Interpolate the profile at primary-coordinate points ``x``."""

@@ -70,16 +70,20 @@ def main(argv=None) -> int:
     try:
         _check_threads(args.threads)
         cfg = load_config(args.config)
+        out_dir = args.out or cfg.output or "."
         start = time.perf_counter()
         report = (run_experiment if args.command == "run" else convergence_study)(cfg)
         report.wall_time_s = time.perf_counter() - start
+        csv_path, json_path = report.write(out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DiscretizationError, NonFiniteSampleError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    csv_path, json_path = report.write(args.out or cfg.output or ".")
+    except OSError as exc:  # from the write: load_config maps its own, the runs do no I/O
+        print(f"configuration error: cannot write reports to {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {csv_path} and {json_path} ({report.wall_time_s:.2f}s)")
     if report.failure:
         print(report.failure, file=sys.stderr)

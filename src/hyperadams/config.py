@@ -8,6 +8,7 @@ computation runs, and unknown keys are rejected.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import inf
 
@@ -76,7 +77,9 @@ def _source_keys(q: str, amplitude: float) -> dict:
 
 
 _K = (_int, REQUIRED, _at_least(1))
-_M_LIST = (_int_list, REQUIRED, _list_of(_at_least(2)))
+# m is taken to a double (log m, sqrt(m)), so it may not exceed the largest one
+_M_LIST = (_int_list, REQUIRED, _list_of((lambda x: 2 <= x <= sys.float_info.max,
+                                          ">= 2 and at most 1.8e308 (the largest double)")))
 _DEGREE = (_int, 6, _at_least(2))
 
 _COMMON = {

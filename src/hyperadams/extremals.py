@@ -73,13 +73,12 @@ def _cutoff_coefficients(k: int, b: float) -> np.ndarray:
     return coeffs
 
 
-def _cutoff_eval(coeffs: np.ndarray, l: int, w: np.ndarray) -> np.ndarray:
-    """l-th derivative with respect to rho of the cutoff at w = 2 - rho."""
-    w = np.asarray(w, dtype=float)
+def _cutoff_eval(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The cutoff at w = 2 - rho."""
     out = np.zeros_like(w)
-    for j in range(l, len(coeffs)):
-        out += coeffs[j] * (math.factorial(j) / math.factorial(j - l)) * w ** (j - l)
-    return (-1.0) ** l * out
+    for j, c in enumerate(coeffs):
+        out += c * w**j
+    return out
 
 
 @dataclass
@@ -136,7 +135,7 @@ class MoserProfile:
         if np.any(mid):
             out[mid] = -self.slope * np.log(rho[mid])
         if np.any(tail):
-            out[tail] = _cutoff_eval(self.cutoff_spline, 0, w[tail])
+            out[tail] = _cutoff_eval(self.cutoff_spline, w[tail])
         return out
 
     def u_tilde(self, s, one_minus_s=None) -> np.ndarray:
@@ -144,51 +143,6 @@ class MoserProfile:
         s = np.asarray(s, dtype=float)
         comp = None if one_minus_s is None else 2.0 * np.asarray(one_minus_s, float)
         return self.v(2.0 * s, two_minus_rho=comp)
-
-    def cutoff_derivative(self, l: int, rho) -> np.ndarray:
-        return _cutoff_eval(self.cutoff_spline, l, 2.0 - np.asarray(rho, dtype=float))
-
-    def branch_mismatch(self) -> dict:
-        """Continuity / matching diagnostics at the two junctions.
-
-        Both branch formulas are evaluated at the junction radius itself:
-        the inner polynomial at z = 1 - m rho^2 ~ 0 against the log branch
-        at rho = 1/sqrt(m), and the log branch at rho = 1 against the
-        cutoff value.
-        """
-        z0 = 1.0 - self.m * self.r_inner**2
-        inner_val = self.peak + float(
-            sum(c * z0**l for l, c in enumerate(self.inner_coeffs, start=1))
-        )
-        mid_val_in = -self.slope * math.log(self.r_inner)
-        mid_val_out = -self.slope * math.log(1.0)
-        tail_val = float(_cutoff_eval(self.cutoff_spline, 0, np.array([1.0]))[0])
-        k = self.k
-        jump_k = float(
-            self.cutoff_derivative(k, np.array([1.0]))[0]
-            - (-1.0) ** k * math.factorial(k - 1) * self.slope
-        )
-        return {
-            "inner_junction": abs(inner_val - mid_val_in),
-            "outer_junction": abs(tail_val - mid_val_out),
-            "cutoff_order_k_jump": jump_k,
-        }
-
-    def cutoff_condition_residuals(self) -> np.ndarray:
-        """All 2k boundary-condition residuals of the cutoff polynomial."""
-        res = [
-            float(self.cutoff_derivative(0, np.array([1.0]))[0]),
-            float(self.cutoff_derivative(0, np.array([2.0]))[0]),
-        ]
-        for l in range(1, self.k):
-            want = (-1.0) ** l * math.factorial(l - 1) * self.slope
-            res.append(float(self.cutoff_derivative(l, np.array([1.0]))[0]) - want)
-            res.append(float(self.cutoff_derivative(l, np.array([2.0]))[0]))
-        return np.array(res)
-
-    def cutoff_sup(self) -> float:
-        rho = np.linspace(1.0, 2.0, 2001)
-        return float(np.max(np.abs(self.v(rho))))
 
 
 def _junction_radius(m: int) -> float:
@@ -266,14 +220,7 @@ def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
     return profile
 
 
-@dataclass
-class MoserEnergy:
-    energy: float
-    deviation_times_logm: float
-
-
-def moser_energy(profile: MoserProfile, dims: DimensionParams,
-                 degree: int = 6) -> MoserEnergy:
+def moser_energy(profile: MoserProfile, dims: DimensionParams, degree: int = 6) -> float:
     """Squared critical energy of u~_m via the flat identity.
 
     In the critical dimension the GJMS form of u~_m equals the flat
@@ -285,11 +232,7 @@ def moser_energy(profile: MoserProfile, dims: DimensionParams,
         raise DomainError("dimension parameters do not match the profile")
     grid = moser_energy_grid(profile.m, degree=degree)
     v = RadialFunction.from_callable(grid, profile.v)
-    energy = euclidean_gradk_energy(v, dims)
-    return MoserEnergy(
-        energy=energy,
-        deviation_times_logm=(energy - 1.0) * profile.log_m,
-    )
+    return euclidean_gradk_energy(v, dims)
 
 
 def _normalized_profile(
@@ -299,7 +242,7 @@ def _normalized_profile(
     squared critical energy E (u~_m / sqrt(E) is the normalized family)."""
     hgrid = moser_hyperbolic_grid(m, k, r_max=r_max, degree=degree)
     profile = build_moser_profile(m, k, hgrid)
-    return profile, moser_energy(profile, DimensionParams(k), degree=degree).energy
+    return profile, moser_energy(profile, DimensionParams(k), degree=degree)
 
 
 @dataclass

@@ -72,22 +72,16 @@ def owen_constant(k: int) -> float:
     return prod / 4.0**k
 
 
-def liu_constant(k: int, N: int, convention: str = "sphere") -> float:
+def liu_constant(k: int, N: int) -> float:
     """Subcritical sharp Sobolev constant Lambda_k (N > 2k only).
 
-    The omega_N in the closed form is read as the surface measure of S^N by
-    default; ``convention="ball"`` uses the unit-ball volume instead.  The
-    source formula does not pin the convention down, so neither reading is
-    asserted as correct.
+    The omega_N in the closed form is read as the surface measure of S^N.
+    The source formula does not say whether omega_N is |S^N| or the volume
+    of the unit ball, so this reading is not asserted as correct.
     """
     if N <= 2 * k:
         raise DomainError("Lambda_k is defined for N > 2k (subcritical case)")
-    if convention == "sphere":
-        omega_N = sphere_area(N)
-    elif convention == "ball":
-        omega_N = math.pi ** (N / 2) / math.gamma(N / 2 + 1)
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+    omega_N = sphere_area(N)
     denom = N * (N - 2 * k)
     for j in range(1, k):
         denom *= N**2 - (2 * j) ** 2

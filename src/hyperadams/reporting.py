@@ -128,11 +128,3 @@ def atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def csv_body(path: str) -> bytes:
-    """CSV content minus the timestamp line (the bit-stable part)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    first_newline = data.index(b"\n")
-    return data[first_newline + 1 :]

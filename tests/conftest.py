@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
-from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
+from hyperadams.ball import DimensionParams, RadialGrid
 
 
 @pytest.fixture(scope="session")
@@ -31,10 +34,41 @@ def ball_grid():
     return RadialGrid.euclidean_ball(s_max=1.0, n_elements=20, degree=6, grading=1.5)
 
 
-def gaussian_profile(grid, amp=1.0, rate=1.0):
-    return RadialFunction.from_callable(grid, lambda r: amp * np.exp(-rate * r**2))
-
-
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)
+
+
+def csv_body(path: str) -> bytes:
+    """CSV content minus the timestamp line (the bit-stable part)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data[data.index(b"\n") + 1 :]
+
+
+def junction_jumps(prof) -> dict:
+    """|v(rho) - v(rho^-)| of a Moser profile at its two branch junctions,
+    the inner one rho = 1/sqrt(m) and the outer one rho = 1."""
+    jumps = {}
+    for name, rho in (("inner_junction", 1.0 / math.sqrt(prof.m)), ("outer_junction", 1.0)):
+        below, at = prof.v(np.array([np.nextafter(rho, 0.0), rho]))
+        jumps[name] = abs(at - below)
+    return jumps
+
+
+def cutoff_derivative(prof, l: int, rho: float) -> float:
+    """d^l/d rho^l of a Moser profile's cutoff polynomial at rho, by numpy's
+    polynomial class in w = 2 - rho (d/d rho = -d/dw)."""
+    return (-1.0) ** l * float(Polynomial(prof.cutoff_spline).deriv(l)(2.0 - rho))
+
+
+def cutoff_condition_residuals(prof) -> np.ndarray:
+    """The 2k boundary-condition residuals of a Moser profile's cutoff: value
+    0 at rho = 1 and 2, d^l/d rho^l = (-1)^l (l-1)! b at rho = 1 and 0 at
+    rho = 2 for l = 1..k-1."""
+    res = [cutoff_derivative(prof, 0, 1.0), cutoff_derivative(prof, 0, 2.0)]
+    for l in range(1, prof.k):
+        want = (-1.0) ** l * math.factorial(l - 1) * prof.slope
+        res.append(cutoff_derivative(prof, l, 1.0) - want)
+        res.append(cutoff_derivative(prof, l, 2.0))
+    return np.array(res)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import csv_body, cutoff_condition_residuals, junction_jumps
 from scipy.integrate import quad
 
 from hyperadams.ball import (
@@ -198,13 +199,13 @@ def test_criterion_4_moser_fidelity():
         devs = []
         for m in (100, 1000, 10000):
             prof = build_moser_profile(m, k, moser_hyperbolic_grid(m, k))
-            mm = prof.branch_mismatch()
+            mm = junction_jumps(prof)
             worst_junction = max(
                 worst_junction, mm["inner_junction"], mm["outer_junction"]
             )
-            res = prof.cutoff_condition_residuals()
+            res = cutoff_condition_residuals(prof)
             worst_cutoff = max(worst_cutoff, float(np.max(np.abs(res))))
-            devs.append(abs(moser_energy(prof, dims).deviation_times_logm))
+            devs.append(abs((moser_energy(prof, dims) - 1.0) * prof.log_m))
         med = float(np.median(devs))
         ratios.append((k, max(devs) / med, min(devs) / med))
         assert max(devs) <= 3.0 * med, f"k={k}: {devs}"
@@ -479,7 +480,6 @@ def test_criterion_9_isometry_invariance():
 
 def test_criterion_10_determinism(tmp_path):
     from hyperadams.cli import main
-    from hyperadams.reporting import csv_body
 
     cfg = tmp_path / "ineq.cfg"
     cfg.write_text(

@@ -67,7 +67,11 @@ class TestVolumeWeight:
         grid = RadialGrid.geodesic(r_max=25.0, n_elements=24, degree=6, grading=2.0)
         for dims in (dims1, dims2, dims3):
             a = grid.hyperbolic_density(dims)
-            b = grid.hyperbolic_density_euclidean_form(dims)
+            # s^{N-1} (2/(1-s^2))^N ds/dr
+            s, oms = grid.euclidean_nodes, grid.one_minus_s
+            one_minus_s2 = oms * (1.0 + s)
+            ds_dr = 0.5 * one_minus_s2
+            b = dims.omega_Nm1 * s ** (dims.N - 1) * (2.0 / one_minus_s2) ** dims.N * ds_dr
             mask = a > 0
             assert np.max(np.abs(a[mask] - b[mask]) / a[mask]) < 1e-12
 
@@ -257,7 +261,7 @@ class TestPushforward2D:
 class TestRadialFunction:
     def test_origin_value(self, geo_grid):
         u = RadialFunction.from_callable(geo_grid, lambda r: np.exp(-(r**2)))
-        assert u.origin_value == 1.0
+        assert u.values[0] == 1.0
 
     def test_eval_interpolates(self, geo_grid):
         u = RadialFunction.from_callable(geo_grid, lambda r: np.exp(-(r**2)))

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import csv_body
 
 import hyperadams
 from hyperadams.cli import _parser, main
@@ -23,7 +24,7 @@ from hyperadams.config import (
 from hyperadams.errors import ConfigError
 from hyperadams.experiments import COLUMNS
 from hyperadams.mesh import Mesh1D
-from hyperadams.reporting import ExperimentReport, csv_body, format_cell
+from hyperadams.reporting import ExperimentReport, format_cell
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED_CONFIGS = sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg"))
@@ -341,6 +342,30 @@ class TestCLI:
         assert main([command, cfg, "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["experiment = blowup\nk = 1\nbeta_list = 10\n", "experiment = sobolev-asymptotics\nk = 1\n"],
+        ids=["blowup", "sobolev-asymptotics"],
+    )
+    def test_m_above_the_largest_double_exit_2_no_output(self, tmp_path, capsys, text):
+        # m is taken to a double (log m, 1/sqrt(m)), which 10^400 has none of;
+        # the largest double itself is still a valid m
+        validate_config(parse_config_text(text + f"m_list = {int(sys.float_info.max)}\n"))
+        cfg = write(tmp_path, "big.cfg", text + f"m_list = 1000, {10**400}\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert "configuration error: m_list must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output_dir_exit_2_no_output(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = os.path.join(CONFIG_DIR, "constants.cfg")
+        assert main(["run", cfg, "--out", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot write reports to {blocker / 'sub'}" in err
+        assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == ""
 
     def test_constants_at_largest_k_max_has_finite_cells(self, tmp_path):
         # from k = 113 on beta0(k, 2k) and the closed forms overflow

@@ -74,7 +74,9 @@ class TestSharpConstants:
     def test_liu_domain_and_conventions(self):
         with pytest.raises(DomainError):
             liu_constant(2, 4)
-        assert liu_constant(1, 3, "ball") != liu_constant(1, 3, "sphere")
+        # omega_N is read as |S^N|: |S^3| = 2 pi^2 at (k, N) = (1, 3)
+        expected = 4.0 * (2.0 * math.pi**2) ** (-2.0 / 3.0) / 3.0
+        assert liu_constant(1, 3) == pytest.approx(expected, rel=1e-15)
 
     def test_critical_beta0_and_poincare_base(self, geo_grid):
         k = 2
