@@ -76,7 +76,9 @@ def _source_keys(q: str, amplitude: float) -> dict:
     }
 
 
-_K = (_int, REQUIRED, _at_least(1))
+# from k = 113 on beta0(k, 2k) overflows a double
+_K_RANGE = (lambda x: 1 <= x <= 112, "in [1, 112]")
+_K = (_int, REQUIRED, _K_RANGE)
 # m is taken to a double (log m, sqrt(m)), so it may not exceed the largest one
 _M_LIST = (_int_list, REQUIRED, _list_of((lambda x: 2 <= x <= sys.float_info.max,
                                           ">= 2 and at most 1.8e308 (the largest double)")))
@@ -89,8 +91,8 @@ _COMMON = {
 }
 
 SCHEMAS = {
-    "constants": {  # from k = 113 on beta0(k, 2k) overflows a double
-        "k_max": (_int, 8, (lambda x: 1 <= x <= 112, "in [1, 112]")),
+    "constants": {
+        "k_max": (_int, 8, _K_RANGE),
     },
     "conformal-identity": {
         **_grid_keys(24, 6, 9.0, 2.0),
@@ -98,12 +100,12 @@ SCHEMAS = {
         # node rounds to s = 1, where the geodesic radius is undefined
         "r_max": (_float, 9.0, (lambda x: 0 < x and math.tanh(x / 2) < math.nextafter(1, 0),
                                 "positive with tanh(r_max/2) < 1 - 2^-53 (up to about 37)")),
-        "k_list": (_int_list, (1, 2, 3), _list_of(_at_least(1))),
+        "k_list": (_int_list, (1, 2, 3), _list_of(_K_RANGE)),
         "levels": (_int, 3, _at_least(2)),
     },
     "inequalities": {
         **_grid_keys(24, 6, 9.0, 2.0),
-        "k_max": (_int, 3, _at_least(1)),
+        "k_max": (_int, 3, _K_RANGE),
         "n_profiles": (_int, 100, _at_least(2)),
         "delta": (_float, 0.9, (lambda x: 0 < x < 1, "in (0, 1)")),
     },
@@ -197,8 +199,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path, "r") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     return validate_config(parse_config_text(text))

@@ -292,7 +292,8 @@ class TestCLI:
             "experiment = solve-pde\nk = 1\ntol = 0\n",
             "experiment = conformal-identity\nr_max = 38.12\n",
             "experiment = conformal-identity\nr_max = 37.5\n",
-            "experiment = solve-pde\nk = 1\nr_max = 800\n",
+            "experiment = solve-pde\nk = 1\nq1_family = rational-decay\nq1_power = 200\n",
+            "experiment = solve-pde\nk = 2\nq1_family = rational-decay\nq1_power = 40\n",
         ],
         ids=[
             "pde-family",
@@ -333,7 +334,8 @@ class TestCLI:
             "pde-tol-zero",
             "conformal-r_max-tanh-rounds-to-1",
             "conformal-r_max-last-node-rounds-to-1",
-            "pde-r_max-weight-overflows-in-tail-check",
+            "pde-rational-decay-q1-power-200",
+            "pde-rational-decay-q1-power-40-k2",
         ],
     )
     def test_out_of_range_value_exit_2_no_output(self, tmp_path, capsys, text, command):
@@ -366,6 +368,52 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"configuration error: cannot write reports to {blocker / 'sub'}" in err
         assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = blowup\nbeta_list = 10\nm_list = 1000\nk = 172\n",
+            "experiment = sobolev-asymptotics\nm_list = 1000\nk = 172\n",
+            "experiment = solve-pde\nk = 172\n",
+            "experiment = conformal-identity\nk_list = 1, 172\n",
+            "experiment = inequalities\nk_max = 172\n",
+        ],
+        ids=["blowup", "sobolev-asymptotics", "solve-pde", "conformal-identity", "inequalities"],
+    )
+    def test_k_above_112_exit_2_no_output(self, tmp_path, capsys, text):
+        # from k = 113 on beta0(k, 2k) overflows a double; 112 still parses
+        validate_config(parse_config_text(text.replace("172", "112")))
+        cfg = write(tmp_path, "k.cfg", text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert "in [1, 112]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_config_not_utf8_exit_2_no_output(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"experiment = constants\nk_max = 2 # \xff\n")
+        out = tmp_path / "out"
+        assert main([command, str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot read config file {str(cfg)!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = solve-pde\nk = 1\nq2_family = bump\nq2_radius = 40\n",
+            "experiment = solve-pde\nk = 1\nq1_width = 30\n",
+            "experiment = solve-pde\nk = 1\nr_max = 700\n",
+        ],
+        ids=["bump-radius-40", "gaussian-width-30", "r_max-700"],
+    )
+    def test_l2_data_on_any_finite_grid_exit_0(self, tmp_path, text):
+        # gaussian and bump data are in L^2(dv_g) at any width or radius, and
+        # at k = 1 the grid weight is finite up to r = 708.6
+        cfg = write(tmp_path, "pde.cfg", text)
+        assert main(["run", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "solve-pde.csv").exists()
 
     def test_constants_at_largest_k_max_has_finite_cells(self, tmp_path):
         # from k = 113 on beta0(k, 2k) and the closed forms overflow
@@ -430,11 +478,12 @@ class TestCLI:
         [
             "experiment = inequalities\nr_max = 1000\n",
             "experiment = blowup\nk = 1\nbeta_list = 13.8\nm_list = 1000\nr_max = 1000\n",
+            "experiment = solve-pde\nk = 1\nr_max = 800\n",
         ],
-        ids=["inequalities", "blowup"],
+        ids=["inequalities", "blowup", "solve-pde"],
     )
     def test_overflowing_volume_weight_exit_3_no_output(self, tmp_path, capsys, text):
-        # sinh^{N-1} r overflows a double below r_max = 1000; the weights
+        # sinh^{N-1} r overflows a double below r_max = 1000 (or 800); the weights
         # would be inf and the integrals NaN.  The message is the only output:
         # the overflow itself raises no RuntimeWarning
         cfg = write(tmp_path, "wide.cfg", text)
@@ -448,18 +497,22 @@ class TestCLI:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "k, r_max", [(1, 800), (2, 230)], ids=["k1-grid-overflows", "k2-tail-overflows"]
+        "k, r_max",
+        [(1, 800), (2, 230), (2, 200), (3, 135)],
+        ids=["k1-grid-overflows", "k2-tail-overflows", "k2-shift-overflows", "k3-band-overflows"],
     )
     def test_tail_check_overflow_names_r_max(self, tmp_path, capsys, k, r_max):
-        # at k = 2 the solve's own grid on [0, 230] is finite; only the data
-        # check's extension up to r_max + 12 overflows, so r_max is blamed,
-        # not the data
+        # a grid the doubles cannot carry is blamed on r_max, not on the data:
+        # at k = 1 the volume weight overflows below 800; at k = 2 and 230 and
+        # at k = 3 and 135 the weight is finite but the Newton band is not; at
+        # k = 2 and 200 the band is finite, but the Levenberg shift of a step
+        # that does not descend overflows
         text = f"experiment = solve-pde\nk = {k}\nr_max = {r_max}\n"
         cfg = write(tmp_path, "wide.cfg", text)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning would fail the run
-            assert main(["run", cfg, "--out", str(out)]) == 2
+            assert main(["run", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"r_max = {r_max}" in err and "overflows" in err
         assert "square-integrable" not in err

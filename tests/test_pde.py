@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from hyperadams.pde import (
     ray_coercivity_table,
     solve_convex,
     solve_log_constrained,
-    square_integrable_dv,
 )
 from hyperadams.operators import gjms_assemble
 
@@ -111,16 +109,6 @@ def independent_residual(result, problem, shift=0.0):
 
 
 class TestFamilies:
-    def test_gaussian_is_square_integrable(self, dims1):
-        ok = square_integrable_dv(radial_family("gaussian"), dims1, 12.0)
-        assert ok
-
-    def test_rational_decay_is_not(self, dims1):
-        ok = square_integrable_dv(
-            radial_family("rational-decay", power=2.0), dims1, 12.0
-        )
-        assert not ok
-
     def test_from_families_rejects_non_l2(self, pde_grid):
         dims = DimensionParams(1)
         with pytest.raises(DomainError, match="square-integrable"):
@@ -132,24 +120,50 @@ class TestFamilies:
                 mode=LOG_CONSTRAINED,
             )
 
-    @pytest.mark.parametrize("k, r_max", [(1, 800.0), (2, 230.0), (3, 131.0)])
-    def test_overflowing_weight_names_r_max(self, k, r_max):
-        # the check integrates up to r_max + 12, where sinh^{N-1} r overflows
-        # a double (at r = 708.6, 236.3 and 142.0 for k = 1, 2, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # and no RuntimeWarning on the way
-            with pytest.raises(DomainError, match=f"r_max = {r_max:g} .* overflows"):
-                square_integrable_dv(radial_family("gaussian"), DimensionParams(k), r_max)
+    def test_l2_verdict_table(self, pde_grid, monkeypatch):
+        # dv_g grows like e^{(N-1) r}: gaussian and bump data are in L^2 at
+        # any width or radius, a rational-decay term with a != 0 at no power;
+        # Q2 - Q1 is when the rational-decay terms cancel.  The rule reads
+        # the specs only, so no mesh is built.
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("from_families built a mesh")
 
-    @pytest.mark.parametrize("k, r_max", [(1, 696.0), (2, 224.0), (3, 129.0)])
-    def test_largest_finite_weight_decides(self, k, r_max):
-        dims = DimensionParams(k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert square_integrable_dv(radial_family("gaussian"), dims, r_max)
-            assert not square_integrable_dv(
-                radial_family("rational-decay", power=2.0), dims, r_max
-            )
+        monkeypatch.setattr("hyperadams.mesh.Mesh1D.__init__", no_mesh)
+        convex_fails = "convex mode requires Q2 - Q1 square-integrable against dv_g"
+        log_fails = "log-constrained mode requires {} square-integrable against dv_g"
+        rd = "rational-decay"
+        table = [
+            (CONVEX, ("gaussian", {}), ("gaussian", {"amplitude": -1.0}), None),
+            (CONVEX, ("gaussian", {"width": 30.0}), ("gaussian", {"amplitude": -1.0}), None),
+            (CONVEX, ("gaussian", {}), ("bump", {"amplitude": -1.0, "radius": 40.0}), None),
+            (CONVEX, ("bump", {}), ("gaussian", {"amplitude": -1.0}), None),
+            (CONVEX, (rd, {}), ("gaussian", {"amplitude": -1.0}), convex_fails),
+            (CONVEX, (rd, {"power": 200.0}), ("gaussian", {"amplitude": -1.0}), convex_fails),
+            (CONVEX, ("gaussian", {}), (rd, {"amplitude": -1.0}), convex_fails),
+            (CONVEX, (rd, {"amplitude": 0.0}), ("gaussian", {"amplitude": -1.0}), None),
+            (CONVEX, ("bump", {}), (rd, {"amplitude": -0.0, "power": 0.5}), None),
+            # equal amplitude and power cancel; radial_family's default power is 2
+            (CONVEX, (rd, {"amplitude": -1.0}), (rd, {"amplitude": -1.0, "power": 2.0}), None),
+            (CONVEX, (rd, {"amplitude": -1.0, "power": 3.0}),
+             (rd, {"amplitude": -1.0, "power": 2.0}), convex_fails),
+            (CONVEX, (rd, {}), (rd, {"amplitude": -1.0}), convex_fails),
+            (LOG_CONSTRAINED, ("gaussian", {}), ("gaussian", {}), None),
+            (LOG_CONSTRAINED, ("bump", {"radius": 40.0}), ("gaussian", {"width": 30.0}), None),
+            (LOG_CONSTRAINED, (rd, {"amplitude": 0.0}), (rd, {"amplitude": 0.0}), None),
+            (LOG_CONSTRAINED, (rd, {}), ("gaussian", {}), log_fails.format("Q1")),
+            (LOG_CONSTRAINED, ("bump", {}), (rd, {"power": 40.0}), log_fails.format("Q2")),
+            (LOG_CONSTRAINED, (rd, {}), (rd, {}), log_fails.format("Q1")),
+        ]
+        wrong = []
+        for mode, q1, q2, want in table:
+            try:
+                PDEProblem.from_families(DimensionParams(1), pde_grid, q1, q2, mode=mode)
+                got = None
+            except DomainError as exc:
+                got = str(exc)
+            if got != want:
+                wrong.append((mode, q1, q2, got))
+        assert not wrong
 
     def test_unknown_family(self):
         with pytest.raises(DomainError) as exc:
@@ -398,7 +412,7 @@ class TestBandStepBitwise:
 
     def test_singular_band_raises(self, pde_grid):
         disc, _, _, b, _ = band_step_inputs(pde_grid, 1, CONVEX, 0.0)
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        with pytest.raises(DiscretizationError, match="singular at r_max = 12; lower r_max"):
             _band_solve(disc, 0.0, np.zeros(disc.n), b, None)
 
 
