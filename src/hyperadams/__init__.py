@@ -48,10 +48,6 @@ from .operators import (
 from .pde import (
     PDEProblem,
     SolveResult,
-    functional_J,
-    functional_JQ,
-    gradient_J,
-    hessian_action_J,
     solve_convex,
     solve_log_constrained,
 )

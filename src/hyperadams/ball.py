@@ -114,10 +114,10 @@ class RadialGrid:
             s.flags.writeable = False
             oms.flags.writeable = False
             self._s = s
-            self._one_minus_s = oms
+            self.one_minus_s = oms  # stable complement 1 - s
         else:
             self._s = mesh.nodes
-            self._one_minus_s = None
+            self.one_minus_s = None
             self._r = None
 
     # -- factories ---------------------------------------------------------
@@ -200,36 +200,20 @@ class RadialGrid:
     def euclidean_nodes(self) -> np.ndarray:
         return self._s
 
-    @property
-    def one_minus_s(self) -> np.ndarray:
-        """Stable complement 1 - s (geodesic grids only)."""
-        if self._one_minus_s is None:
-            oms = 1.0 - self._s
-            oms.flags.writeable = False
-            self._one_minus_s = oms
-        return self._one_minus_s
-
     # -- measures ------------------------------------------------------------
 
     def hyperbolic_density(self, dims: DimensionParams) -> np.ndarray:
         """Per-node density so that sum(quad_weights * density * f) = int f dv_g
-        (read-only; formed on the first call for each dimension)."""
+        on a geodesic grid (read-only; formed on the first call for each
+        dimension)."""
         if dims.N not in self._densities:
-            density = self._hyperbolic_density(dims)
+            if self.coordinate != GEODESIC:
+                raise DomainError("the hyperbolic measure requires a geodesic grid")
+            with np.errstate(over="ignore"):  # _finite_weight reports an overflow
+                density = self._finite_weight(volume_weight(self._r, dims))
             density.flags.writeable = False
             self._densities[dims.N] = density
         return self._densities[dims.N]
-
-    def _hyperbolic_density(self, dims: DimensionParams) -> np.ndarray:
-        if self.coordinate == GEODESIC:
-            with np.errstate(over="ignore"):  # _finite_weight reports an overflow
-                weight = volume_weight(self._r, dims)
-            return self._finite_weight(weight)
-        if np.any(self._s >= 1.0):
-            raise DomainError("hyperbolic measure undefined for s >= 1")
-        s, oms = self._s, self.one_minus_s
-        one_minus_s2 = oms * (1.0 + s)
-        return dims.omega_Nm1 * s ** (dims.N - 1) * (2.0 / one_minus_s2) ** dims.N
 
     def _finite_weight(self, weight: np.ndarray) -> np.ndarray:
         """A sinh^{N-1} r weight at the nodes; an overflow would make integrals NaN."""

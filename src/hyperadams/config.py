@@ -117,7 +117,15 @@ SCHEMAS = {
         "r_max": (_float, 0.0, (lambda x: 0 <= x < inf,
                                 "0 (the per-k default) or positive and finite")),
     },
-    "sobolev-asymptotics": {"k": _K, "m_list": _M_LIST, "poly_degree": _DEGREE},
+    "sobolev-asymptotics": {
+        # its grid ends at r = 32 (extremals.moser_hyperbolic_grid), and the
+        # volume weight sinh^{2k-1}(32) ~ e^{31.31 (2k-1)} overflows a double
+        # (e^{709.78}) once 2k - 1 > 22.67, that is from k = 12 on
+        "k": (_int, REQUIRED, (lambda x: 1 <= x <= 11, "in [1, 11] (the volume weight "
+                               "sinh^(2k-1) r overflows a double at r = 32 from k = 12 on)")),
+        "m_list": _M_LIST,
+        "poly_degree": _DEGREE,
+    },
     "solve-pde": {
         **_grid_keys(20, 4, 12.0, 1.5),
         "k": _K,

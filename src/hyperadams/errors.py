@@ -21,15 +21,6 @@ class NonFiniteSampleError(ValueError):
     """NaN or infinity in sampled data."""
 
 
-class OverflowNodeError(OverflowError):
-    """Exponential overflow at a specific grid node."""
-
-    def __init__(self, node: int, exponent: float):
-        self.node = node
-        self.exponent = exponent
-        super().__init__(f"exp overflow at node {node} (exponent {exponent:.3g})")
-
-
 class FeasibilityError(RuntimeError):
     """No feasible starting point found for a constrained minimization."""
 

@@ -31,7 +31,7 @@ from .ball import (
     RadialGrid,
     euclidean_to_geodesic,
 )
-from .errors import DomainError, ResolutionError
+from .errors import DiscretizationError, DomainError, ResolutionError
 from .inequalities import EXP_OVERFLOW_LIMIT, adams_functional, beta0, moser_normalizer
 from .operators import euclidean_gradk_energy
 
@@ -242,7 +242,13 @@ def _normalized_profile(
     squared critical energy E (u~_m / sqrt(E) is the normalized family)."""
     hgrid = moser_hyperbolic_grid(m, k, r_max=r_max, degree=degree)
     profile = build_moser_profile(m, k, hgrid)
-    return profile, moser_energy(profile, DimensionParams(k), degree=degree)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        energy = moser_energy(profile, DimensionParams(k), degree=degree)
+    if not math.isfinite(energy):
+        raise DiscretizationError(
+            f"the Moser energy at m = {m:.6g}, k = {k} overflows a double; lower m"
+        )
+    return profile, energy
 
 
 @dataclass

@@ -31,12 +31,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, solveh_banded
 
 from .ball import DimensionParams, RadialFunction, RadialGrid
-from .errors import (
-    DiscretizationError,
-    DomainError,
-    FeasibilityError,
-    OverflowNodeError,
-)
+from .errors import DiscretizationError, DomainError, FeasibilityError
 from .inequalities import EXP_OVERFLOW_LIMIT, beta0
 from .operators import gjms_assemble
 
@@ -198,9 +193,9 @@ class _Discretization:
     def bandwidth(self) -> int:
         return self.band.shape[0] // 2
 
-    def interior(self, u) -> np.ndarray:
-        """Interior node values of a full-grid function (arrays pass through)."""
-        return u.values[: self.n] if isinstance(u, RadialFunction) else np.asarray(u)
+    def interior(self, u: RadialFunction) -> np.ndarray:
+        """Interior node values of a full-grid function."""
+        return u.values[: self.n]
 
     def embed(self, u: np.ndarray) -> RadialFunction:
         full = np.zeros(self.grid.n_nodes)
@@ -214,28 +209,18 @@ class _Discretization:
         return float(np.dot(self.mass_dv, a * b))
 
 
-def _exp2u(u: np.ndarray, strict: bool) -> np.ndarray:
+def _exp2u(u: np.ndarray) -> np.ndarray | None:
+    """e^{2u}, or None where some node's exponent overflows a double."""
     expo = 2.0 * u
-    top = int(np.argmax(expo))
-    if expo[top] > EXP_OVERFLOW_LIMIT:
-        if strict:
-            raise OverflowNodeError(top, float(expo[top]))
-        return None
-    return np.exp(expo)
+    return None if np.max(expo) > EXP_OVERFLOW_LIMIT else np.exp(expo)
 
 
-def functional_J(u, problem: PDEProblem, disc: _Discretization | None = None) -> float:
+def _J_value(u: np.ndarray, disc: _Discretization) -> float:
     """Convex-mode objective
     J(u) = 1/2 <P_k u, u> - int Q u - 1/2 int Q2 (e^{2u} - 2u - 1) dv_g,
-    with Q = Q2 - Q1.  The last term is nonnegative when Q2 <= 0."""
-    if problem.mode != CONVEX:
-        raise DomainError("functional_J belongs to the convex mode")
-    disc = disc or _Discretization(problem)
-    return _J_value(disc.interior(u), disc, strict=True)
-
-
-def _J_value(u: np.ndarray, disc: _Discretization, strict: bool = False) -> float:
-    e2u = _exp2u(u, strict)
+    with Q = Q2 - Q1; +inf where e^{2u} overflows.  The last term is
+    nonnegative when Q2 <= 0."""
+    e2u = _exp2u(u)
     if e2u is None:
         return math.inf
     quad = 0.5 * float(disc.op.quadratic_form(u))
@@ -249,32 +234,9 @@ def _convex_linearize(u: np.ndarray, disc: _Discretization) -> tuple:
     through raw factor applications), the gradient against the discrete
     dv_g weights, and the Hessian H - 2 diag(mass_dv Q2 e^{2u}) as
     (1, that diagonal)."""
-    e2u = _exp2u(u, True)
+    e2u = np.exp(2.0 * u)
     res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u
     return res, disc.mass_dv * res, (1.0, -2.0 * disc.mass_dv * disc.Q2 * e2u), None
-
-
-def gradient_J(
-    u, problem: PDEProblem, disc: _Discretization | None = None
-) -> np.ndarray:
-    """Gradient of J against the dv_g inner product:
-    P_k u + Q1 - Q2 e^{2u}; identical to the equation residual."""
-    if problem.mode != CONVEX:
-        raise DomainError("gradient_J belongs to the convex mode")
-    disc = disc or _Discretization(problem)
-    return _convex_linearize(disc.interior(u), disc)[0]
-
-
-def hessian_action_J(
-    u, w, problem: PDEProblem, disc: _Discretization | None = None
-) -> np.ndarray:
-    """Hessian action P_k w - 2 Q2 e^{2u} w (positive semidefinite, Q2 <= 0)."""
-    if problem.mode != CONVEX:
-        raise DomainError("hessian_action_J belongs to the convex mode")
-    disc = disc or _Discretization(problem)
-    c, diag = _convex_linearize(disc.interior(u), disc)[2]
-    wv = disc.interior(w)
-    return c * disc.op.apply(wv) + diag * wv / disc.mass_dv
 
 
 def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray:
@@ -326,13 +288,14 @@ def _damped_newton(
     """Damped Newton minimization with Armijo backtracking for both regimes.
 
     ``objective(u)`` is inf where u is infeasible or overflows, so the line
-    search halves such trial steps away.  ``linearize(u)`` returns the
-    certificate residual (its dv_g-norm is compared with ``tol``), the
-    gradient, the Hessian c H + diag(v) as (c, v), H = omega M P_k, and an
-    optional rank-one vector w (Hessian = c H + diag(v) + w w^T).  A
-    Levenberg shift lam diag(mass_dv) is raised until the step descends.  Five
-    iterations without a 10 % drop in the certificate end the solve as a
-    stall at the numerical floor.
+    search halves such trial steps away; u is linearized only where its
+    objective is finite.  ``linearize(u)`` returns the certificate residual
+    (its dv_g-norm is compared with ``tol``; a norm that overflows a double
+    raises ``DiscretizationError``), the gradient, the Hessian c H + diag(v)
+    as (c, v), H = omega M P_k, and an optional rank-one vector w
+    (Hessian = c H + diag(v) + w w^T).  A Levenberg shift lam diag(mass_dv)
+    is raised until the step descends.  Five iterations without a 10 % drop
+    in the certificate end the solve as a stall at the numerical floor.
 
     At the roundoff floor the full step is taken: when the predicted
     decrease -slope = lambda^2 (lambda the Newton decrement) is at most
@@ -348,7 +311,12 @@ def _damped_newton(
     best, stalled, message = math.inf, 0, ""
     for it in range(1, max_iter + 2):
         res, grad, (c, v), w = linearize(u)
-        res_norm = disc.dv_norm(res)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            res_norm = disc.dv_norm(res)
+        if not math.isfinite(res_norm):
+            raise DiscretizationError(
+                "the PDE residual overflows a double; lower the data amplitudes"
+            )
         if res_norm <= tol:
             message = "converged"
             break
@@ -435,30 +403,27 @@ def solve_convex(
 
 def log_argument(u: np.ndarray, disc: _Discretization) -> float:
     """int Q2 (e^{2u} - 1) dv_g, the quantity kept positive in log mode."""
-    e2u = _exp2u(u, False)
+    e2u = _exp2u(u)
     if e2u is None:
         return math.inf
     return disc.dv_dot(disc.Q2, e2u - 1.0)
 
 
-def functional_JQ(u, problem: PDEProblem, disc: _Discretization | None = None) -> float:
+def _JQ_value(u: np.ndarray, disc: _Discretization) -> float:
     """Log-constrained objective
-    J_Q(u) = <P_k u, u> + 2 int Q1 u - log int Q2 (e^{2u} - 1) dv_g."""
-    if problem.mode != LOG_CONSTRAINED:
-        raise DomainError("functional_JQ belongs to the log-constrained mode")
-    disc = disc or _Discretization(problem)
-    uv = disc.interior(u)
-    G = log_argument(uv, disc)
-    if not 0.0 < G < math.inf:  # infeasible, or e^{2u} overflows
+    J_Q(u) = <P_k u, u> + 2 int Q1 u - log int Q2 (e^{2u} - 1) dv_g;
+    +inf where u is infeasible or e^{2u} overflows."""
+    G = log_argument(u, disc)
+    if not 0.0 < G < math.inf:
         return math.inf
-    return float(disc.op.quadratic_form(uv)) + 2.0 * disc.dv_dot(disc.Q1, uv) - math.log(G)
+    return float(disc.op.quadratic_form(u)) + 2.0 * disc.dv_dot(disc.Q1, u) - math.log(G)
 
 
 def _log_linearize(u: np.ndarray, disc: _Discretization) -> tuple:
     """``_convex_linearize`` for J_Q: the shifted-equation residual
     P_k u + Q1 - Q2 e^{2u} / G (G the log argument) vanishes where J_Q is
     stationary, and J_Q's gradient is 2 mass_dv times it."""
-    e2u = _exp2u(u, True)
+    e2u = np.exp(2.0 * u)
     G = disc.dv_dot(disc.Q2, e2u - 1.0)
     q2e = disc.mass_dv * disc.Q2 * e2u
     res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u / G
@@ -490,7 +455,7 @@ def solve_log_constrained(
         raise DomainError("solve_log_constrained requires log-constrained mode")
     disc = _Discretization(problem)
     result = _damped_newton(
-        disc, _feasible_start(disc), lambda u: functional_JQ(u, problem, disc),
+        disc, _feasible_start(disc), lambda u: _JQ_value(u, disc),
         lambda u: _log_linearize(u, disc), tol, max_iter, convex=False,
     )
     u = disc.interior(result.u)
@@ -511,7 +476,7 @@ def ray_coercivity_table(
     for t in t_values:
         uv = t * disc.interior(direction)
         energy = float(disc.op.quadratic_form(uv))
-        J = functional_JQ(uv, problem, disc) if problem.mode == LOG_CONSTRAINED else _J_value(uv, disc)
+        J = (_JQ_value if problem.mode == LOG_CONSTRAINED else _J_value)(uv, disc)
         rows.append(
             {
                 "t": float(t),

@@ -90,6 +90,16 @@ class TestVolumeWeight:
                     grid.laplacian_coefficients("hyperbolic", dims2)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("metric_form", ["density", "laplacian"])
+    def test_hyperbolic_measure_needs_a_geodesic_grid(self, dims2, metric_form):
+        grid = RadialGrid.euclidean_ball(s_max=0.9, n_elements=4, degree=4)
+        assert grid.one_minus_s is None
+        with pytest.raises(DomainError, match="geodesic grid"):
+            if metric_form == "density":
+                grid.hyperbolic_density(dims2)
+            else:
+                grid.laplacian_coefficients("hyperbolic", dims2)
+
     def test_ball_volume_h2(self, dims1):
         grid = RadialGrid.geodesic(r_max=1.0, n_elements=4, degree=6, grading=1.0)
         one = RadialFunction(grid, np.ones(grid.n_nodes))

@@ -294,6 +294,9 @@ class TestCLI:
             "experiment = conformal-identity\nr_max = 37.5\n",
             "experiment = solve-pde\nk = 1\nq1_family = rational-decay\nq1_power = 200\n",
             "experiment = solve-pde\nk = 2\nq1_family = rational-decay\nq1_power = 40\n",
+            "experiment = solve-pde\nk = 1.5\n",
+            "experiment = solve-pde\nk = 1\ntol = small\n",
+            "k = 1\nm_list = 1000\n",
         ],
         ids=[
             "pde-family",
@@ -336,6 +339,9 @@ class TestCLI:
             "conformal-r_max-last-node-rounds-to-1",
             "pde-rational-decay-q1-power-200",
             "pde-rational-decay-q1-power-40-k2",
+            "pde-k-not-an-integer",
+            "pde-tol-not-a-number",
+            "no-experiment-key",
         ],
     )
     def test_out_of_range_value_exit_2_no_output(self, tmp_path, capsys, text, command):
@@ -373,12 +379,11 @@ class TestCLI:
         "text",
         [
             "experiment = blowup\nbeta_list = 10\nm_list = 1000\nk = 172\n",
-            "experiment = sobolev-asymptotics\nm_list = 1000\nk = 172\n",
             "experiment = solve-pde\nk = 172\n",
             "experiment = conformal-identity\nk_list = 1, 172\n",
             "experiment = inequalities\nk_max = 172\n",
         ],
-        ids=["blowup", "sobolev-asymptotics", "solve-pde", "conformal-identity", "inequalities"],
+        ids=["blowup", "solve-pde", "conformal-identity", "inequalities"],
     )
     def test_k_above_112_exit_2_no_output(self, tmp_path, capsys, text):
         # from k = 113 on beta0(k, 2k) overflows a double; 112 still parses
@@ -387,6 +392,17 @@ class TestCLI:
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 2
         assert "in [1, 112]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sobolev_k_above_11_exit_2_no_output(self, tmp_path, capsys):
+        # the sobolev-asymptotics grid ends at r = 32, and sinh^{2k-1}(32)
+        # overflows a double from k = 12 on; k = 11 still runs
+        text = "experiment = sobolev-asymptotics\nm_list = 2\nk = {}\n"
+        assert main(["run", write(tmp_path, "k11.cfg", text.format(11)),
+                     "--out", str(tmp_path / "k11")]) == 0
+        out = tmp_path / "out"
+        assert main(["run", write(tmp_path, "k12.cfg", text.format(12)), "--out", str(out)]) == 2
+        assert "configuration error: k must be in [1, 11]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "converge"])
@@ -516,6 +532,54 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"r_max = {r_max}" in err and "overflows" in err
         assert "square-integrable" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = solve-pde\nk = 1\nq1_amplitude = 1e200\n",
+            "experiment = solve-pde\nk = 1\nq1_amplitude = 1e300\n",
+            "experiment = solve-pde\nk = 2\nmode = log-constrained\n"
+            "q1_amplitude = 1e200\nq2_amplitude = 1\n",
+            "experiment = solve-pde\nk = 3\nmode = log-constrained\n"
+            "q1_amplitude = 1e300\nq2_amplitude = 1\n",
+        ],
+        ids=["convex-1e200", "convex-1e300", "log-k2-1e200", "log-k3-1e300"],
+    )
+    def test_overflowing_pde_residual_exit_3_no_output(self, tmp_path, capsys, text, command):
+        # the residual's dv_g-norm overflows a double at the start point: a
+        # numerical failure naming the data, not an inf residual_norm cell
+        cfg = write(tmp_path, "loud.cfg", text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, cfg, "--out", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "numerical failure: the PDE residual overflows a double" in err
+        assert "lower the data amplitudes" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = blowup\nk = 10\nbeta_list = 1e18\nm_list = 100, 1000000000000\n",
+            "experiment = sobolev-asymptotics\nk = 10\nm_list = 100, 1000000000000\n",
+        ],
+        ids=["blowup", "sobolev-asymptotics"],
+    )
+    def test_overflowing_moser_energy_exit_3_no_output(self, tmp_path, capsys, text):
+        # at k = 10 and m = 1e12 the flat energy of the Moser profile
+        # overflows: a numerical failure naming m and k, not an inf energy cell
+        cfg = write(tmp_path, "energy.cfg", text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg, "--out", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "numerical failure: the Moser energy at m = 1e+12, k = 10 overflows" in err
         assert not out.exists()
 
     def test_isometry_support_between_nodes_exit_3_no_output(self, tmp_path, capsys):

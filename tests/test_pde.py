@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
-from hyperadams.errors import (
-    DiscretizationError,
-    DomainError,
-    FeasibilityError,
-    OverflowNodeError,
-)
+from hyperadams.errors import DiscretizationError, DomainError, FeasibilityError
 from hyperadams import pde
 from hyperadams.pde import (
     CONVEX,
@@ -18,12 +13,12 @@ from hyperadams.pde import (
     PDEProblem,
     _Discretization,
     _J_value,
+    _JQ_value,
     _band_solve,
+    _convex_linearize,
+    _damped_newton,
     banded_direct_solve,
-    functional_J,
-    functional_JQ,
-    gradient_J,
-    hessian_action_J,
+    log_argument,
     radial_family,
     ray_coercivity_table,
     solve_convex,
@@ -217,9 +212,10 @@ class TestFamilies:
 class TestFunctionalAndDerivatives:
     def test_zero_value(self, pde_grid):
         prob = make_problem(pde_grid, 1, lambda r: 0 * r, lambda r: 0 * r)
-        zero = RadialFunction(pde_grid, np.zeros(pde_grid.n_nodes))
-        assert functional_J(zero, prob) == 0.0
-        assert np.max(np.abs(gradient_J(zero, prob))) == 0.0
+        disc = _Discretization(prob)
+        zero = np.zeros(disc.n)
+        assert _J_value(zero, disc) == 0.0
+        assert np.max(np.abs(_convex_linearize(zero, disc)[0])) == 0.0
 
     def test_q2_zero_reduces_to_quadratic(self, pde_grid):
         prob = make_problem(pde_grid, 1, lambda r: np.exp(-(r**2)), lambda r: 0 * r)
@@ -240,7 +236,7 @@ class TestFunctionalAndDerivatives:
             aw, cw = rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)
             u = a * np.exp(-c * disc.grid.mesh.nodes[:-1] ** 2)
             w = aw * np.exp(-cw * disc.grid.mesh.nodes[:-1] ** 2)
-            g = gradient_J(u_full(disc, u), prob, disc)
+            g = _convex_linearize(u, disc)[0]
             inner = float(np.dot(disc.mass_dv, g * w))
             eps = 1e-5
             fd = (_J_value(u + eps * w, disc) - _J_value(u - eps * w, disc)) / (2 * eps)
@@ -264,7 +260,7 @@ class TestFunctionalAndDerivatives:
             inner = float(pde._log_linearize(u, disc)[1] @ w)
             eps = 1e-5
             fd = (
-                functional_JQ(u + eps * w, prob, disc) - functional_JQ(u - eps * w, prob, disc)
+                _JQ_value(u + eps * w, disc) - _JQ_value(u - eps * w, disc)
             ) / (2 * eps)
             worst = max(worst, abs(fd - inner) / (1.0 + abs(fd)))
         assert worst < 1e-6
@@ -278,22 +274,18 @@ class TestFunctionalAndDerivatives:
         for _ in range(10):
             u = rng.uniform(-0.5, 0.5) * np.exp(-rng.uniform(0.5, 2) * nodes**2)
             w = rng.uniform(-1, 1) * np.exp(-rng.uniform(0.5, 2) * nodes**2)
-            Hw = hessian_action_J(u_full(disc, u), u_full(disc, w), prob, disc)
+            # the Hessian action P_k w - 2 Q2 e^{2u} w from the Newton pair (c, diag)
+            c, diag = _convex_linearize(u, disc)[2]
+            Hw = c * disc.op.apply(w) + diag * w / disc.mass_dv
             quad = float(np.dot(disc.mass_dv, Hw * w))
             assert quad >= -1e-10 * max(1.0, abs(quad))
 
-    def test_overflow_reports_node(self, pde_grid):
+    def test_overflow_value_infinite(self, pde_grid):
+        # e^{800} overflows a double: J is +inf there, so the line search
+        # halves such a step away
         prob = make_problem(pde_grid, 1, lambda r: 0 * r, lambda r: -np.exp(-(r**2)))
-        huge = RadialFunction(pde_grid, np.full(pde_grid.n_nodes, 400.0))
-        with pytest.raises(OverflowNodeError) as info:
-            functional_J(huge, prob)
-        assert info.value.node >= 0
-
-
-def u_full(disc, u_interior):
-    full = np.zeros(disc.grid.n_nodes)
-    full[: disc.n] = u_interior
-    return RadialFunction(disc.grid, full)
+        disc = _Discretization(prob)
+        assert _J_value(np.full(disc.n, 400.0), disc) == math.inf
 
 
 class TestRestrictedOperator:
@@ -636,8 +628,19 @@ class TestJQFunctional:
             pde_grid, 1, lambda r: 0 * r, lambda r: np.exp(-(r**2)),
             mode=LOG_CONSTRAINED,
         )
-        zero = RadialFunction(pde_grid, np.zeros(pde_grid.n_nodes))
-        assert functional_JQ(zero, prob) == math.inf
+        disc = _Discretization(prob)
+        assert _JQ_value(np.zeros(disc.n), disc) == math.inf
+
+    def test_overflow_value_infinite(self, pde_grid):
+        # e^{800} overflows a double: the log argument and J_Q are +inf there
+        prob = make_problem(
+            pde_grid, 1, lambda r: 0 * r, lambda r: np.exp(-(r**2)),
+            mode=LOG_CONSTRAINED,
+        )
+        disc = _Discretization(prob)
+        huge = np.full(disc.n, 400.0)
+        assert log_argument(huge, disc) == math.inf
+        assert _JQ_value(huge, disc) == math.inf
 
 
 @pytest.fixture(scope="module")
@@ -710,3 +713,32 @@ class TestLineSearch:
         )
         assert at_floor == (step == 2)
         assert res.step_lengths[step] < 1.0
+
+    def test_no_finite_trial_ends_as_line_search_failed(self, pde_grid):
+        # an objective finite only at the start halves all 50 trial steps away
+        prob = make_problem(
+            pde_grid, 1, lambda r: np.exp(-(r**2)), lambda r: -np.exp(-(r**2))
+        )
+        disc = _Discretization(prob)
+        res = _damped_newton(
+            disc, np.zeros(disc.n), lambda u: 0.0 if not np.any(u) else math.inf,
+            lambda u: _convex_linearize(u, disc), 1e-9, 60, convex=True,
+        )
+        assert res.message == "line search failed" and not res.converged
+        assert res.objective == 0.0 and res.step_lengths == ()
+        assert res.residual_norm == disc.dv_norm(disc.Q1 - disc.Q2)  # at u = 0
+
+    def test_no_descent_ends_as_could_not_build_a_direction(self, pde_grid):
+        # a zero gradient beside a nonzero residual gives slope 0 under
+        # every Levenberg shift, which is no descent
+        prob = make_problem(
+            pde_grid, 1, lambda r: np.exp(-(r**2)), lambda r: -np.exp(-(r**2))
+        )
+        disc = _Discretization(prob)
+        zero = np.zeros(disc.n)
+        res = _damped_newton(
+            disc, zero, lambda u: _J_value(u, disc),
+            lambda u: (disc.Q1, zero, (1.0, zero), None), 1e-9, 60, convex=False,
+        )
+        assert res.message == "could not build a descent direction"
+        assert not res.converged and res.step_lengths == ()
