@@ -225,12 +225,11 @@ class RadialGrid:
         return weight
 
     def euclidean_density(self, dims: DimensionParams) -> np.ndarray:
-        """Per-node density for the flat measure int_{B} f dx (radial form)."""
-        if self.coordinate == EUCLIDEAN:
-            return dims.omega_Nm1 * self._s ** (dims.N - 1)
-        s, oms = self._s, self.one_minus_s
-        ds_dr = 0.5 * oms * (1.0 + s)  # (1 - s^2)/2
-        return dims.omega_Nm1 * s ** (dims.N - 1) * ds_dr
+        """Per-node density for the flat measure int_{B} f dx (radial form)
+        on a Euclidean-radius grid."""
+        if self.coordinate != EUCLIDEAN:
+            raise DomainError("the flat measure requires a Euclidean-radius grid")
+        return dims.omega_Nm1 * self._s ** (dims.N - 1)
 
     # -- operator coefficients (used by the operators module) ---------------
 

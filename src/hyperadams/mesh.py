@@ -6,12 +6,11 @@ One mesh serves three jobs at once:
   Gauss-Lobatto rule, over the mesh or per element),
 * weighted stiffness forms ``int c(t) f'(t) g'(t) dt`` assembled per element
   from the exact differentiation matrix of the local interpolant, giving a
-  symmetric positive-semidefinite sparse matrix, and
+  symmetric positive-semidefinite matrix in band storage (``band_apply``
+  applies it with the bits of a CSR matvec), and
 * pointwise differentiation of nodal data (interface values averaged).
 
-Both sparse matrices are summed into one CSR structure per mesh that
-follows in closed form from (n_elements, p).  The reference rules of a
-degree are computed once per degree and read-only.
+The reference rules of a degree are computed once per degree and read-only.
 
 Weighted Laplace-type operators are produced as ``A = M^{-1} K`` with a
 diagonal (lumped) mass ``M`` and are therefore exactly self-adjoint in the
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 
 from .errors import DiscretizationError
@@ -40,6 +38,7 @@ __all__ = [
     "differentiation_matrix",
     "Mesh1D",
     "column_dots",
+    "band_apply",
     "graded_edges",
     "geometric_edges",
 ]
@@ -194,6 +193,22 @@ def column_dots(x, y):
     return np.matmul(xs, np.ascontiguousarray(y.T)[:, :, None])[:, 0, 0]
 
 
+def band_apply(band: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """K z for K in band storage ``band[p + j - i, i] = K[i, j]`` and one
+    profile (n,) or each row of a (P, n) block.  Row i sums in column order
+    from +0.0, as a CSR matvec does, so a block row gives bitwise its
+    single-profile call (a zero slot adds nothing to a finite sum)."""
+    width, n = band.shape
+    p = width // 2
+    padded = np.zeros(z.shape[:-1] + (n + 2 * p,))
+    padded[..., p : p + n] = z
+    out = np.zeros(z.shape)
+    term = np.empty(z.shape)
+    for d in range(width):
+        out += np.multiply(band[d], padded[..., d : d + n], out=term)
+    return out
+
+
 @dataclass(frozen=True)
 class Mesh1D:
     """Composite Gauss-Lobatto mesh on [edges[0], edges[-1]].
@@ -246,47 +261,25 @@ class Mesh1D:
         """Gauss-Lobatto integral of 1-D nodal data over each element."""
         return self.jac * (values[self.elements] @ gauss_lobatto(self.p)[1])
 
-    @functools.cached_property
-    def _csr_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, slots) of the element-coupling CSR pattern.
-
-        Row i holds, in column order, the nodes of the element(s) containing
-        i: p + 1 of them, or 2p + 1 at an interface.  ``slots[e, a, b]`` is
-        the data position of block entry (a, b) of element e; its row starts
-        one element to the left when a = 0 is an interface.  Only an
-        interface diagonal entry receives two contributions, so summing into
-        the slots gives the sums of a COO ``sum_duplicates``."""
-        p, n_el = self.p, self.n_elements
-        row_len = np.full(self.n_nodes, p + 1, dtype=np.int32)
-        row_len[p:-1:p] = 2 * p + 1
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
-        np.cumsum(row_len, out=indptr[1:])
-        first_col = np.maximum((np.arange(self.n_nodes, dtype=np.int32) - 1) // p, 0) * p
-        indices = np.repeat(first_col - indptr[:-1], row_len) + np.arange(
-            indptr[-1], dtype=np.int32
-        )
-        shift = np.zeros((n_el, p + 1, 1), dtype=np.int32)
-        shift[1:, 0] = p
-        slots = indptr[self.elements][:, :, None] + np.arange(p + 1, dtype=np.int32) + shift
-        return _read_only(indptr), _read_only(indices), _read_only(slots.ravel())
-
-    def _scatter(self, blocks: np.ndarray) -> sp.csr_matrix:
-        """Sum per-element ``(p+1, p+1)`` blocks into a global CSR matrix."""
-        indptr, indices, slots = self._csr_structure
-        data = np.bincount(slots, weights=blocks.ravel(), minlength=indices.size)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n_nodes, self.n_nodes))
-
-    def stiffness(self, coeff: np.ndarray) -> sp.csr_matrix:
-        """Assemble ``K[i,j] = int coeff(t) phi_i'(t) phi_j'(t) dt``.
+    def stiffness(self, coeff: np.ndarray) -> np.ndarray:
+        """Assemble ``K[i,j] = int coeff(t) phi_i'(t) phi_j'(t) dt`` in band
+        storage ``band[p + j - i, i] = K[i, j]``, shape (2p + 1, n).
 
         ``coeff`` is sampled at the mesh nodes; K is symmetric PSD when
-        coeff >= 0 and annihilates constants exactly.
+        coeff >= 0 and annihilates constants exactly.  An interface diagonal
+        entry sums its left element's share, then its right's.
         """
         coeff = np.asarray(coeff, dtype=float)
-        _, wref = gauss_lobatto(self.p)
-        Dref = _reference_derivative(self.p)
+        p, n = self.p, self.n_nodes
+        _, wref = gauss_lobatto(p)
+        Dref = _reference_derivative(p)
         w_el = wref * coeff[self.elements] / self.jac[:, None]
-        return self._scatter(Dref.T @ (w_el[:, :, None] * Dref))
+        blocks = Dref.T @ (w_el[:, :, None] * Dref)
+        # block entry (a, b) of element e sits in slot (p + b - a, e p + a)
+        a, b = np.arange(p + 1)[:, None], np.arange(p + 1)
+        slots = (p + b - a) * n + self.elements[:, :, None]
+        band = np.bincount(slots.ravel(), weights=blocks.ravel(), minlength=(2 * p + 1) * n)
+        return band.reshape(2 * p + 1, n)
 
     def lumped_mass(
         self, coeff: np.ndarray, axis_fn: Callable[[np.ndarray], np.ndarray] | None = None
@@ -322,13 +315,18 @@ class Mesh1D:
         x_phys = 0.5 * (a + b) + jac * xg
         return float(np.dot(wg * jac, phi0_sq * np.asarray(fn(x_phys), dtype=float)))
 
-    def deriv_matrix(self) -> sp.csr_matrix:
-        """Pointwise d/dt of nodal data (interface rows averaged)."""
+    def deriv_matrix(self):
+        """Pointwise d/dt of nodal data (interface rows averaged), a CSR matrix."""
+        import scipy.sparse as sp
+
         Dref = _reference_derivative(self.p)
         share = np.ones(self.n_nodes)
         share[self.p : -1 : self.p] = 0.5
-        scale = share[self.elements]
-        return self._scatter(scale[:, :, None] * (Dref / self.jac[:, None, None]))
+        blocks = share[self.elements][:, :, None] * (Dref / self.jac[:, None, None])
+        rows, cols = np.broadcast_arrays(self.elements[:, :, None], self.elements[:, None, :])
+        # the conversion to CSR sums the two interface entries in input order
+        ijv = (blocks.ravel(), (rows.ravel(), cols.ravel()))
+        return sp.csr_matrix(ijv, shape=(self.n_nodes, self.n_nodes))
 
     def evaluate(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Evaluate the piecewise interpolant of nodal data at points ``x``."""

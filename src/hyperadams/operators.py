@@ -1,10 +1,10 @@
 """Radial differential operators and the energy norms built from them.
 
 The discrete Laplace operators are Galerkin pairs ``A = M^{-1} K`` with a
-weighted stiffness matrix K and a positive diagonal mass M, so every
-polynomial in A (in particular each GJMS factor and their product) is exactly
-self-adjoint in the M-inner product and the assembled quadratic forms are
-symmetric to roundoff.  The product operator is kept only as its factors
+weighted stiffness matrix K (band storage) and a positive diagonal mass M, so
+every polynomial in A (in particular each GJMS factor and their product) is
+exactly self-adjoint in the M-inner product and the assembled quadratic forms
+are symmetric to roundoff.  The product operator is kept only as its factors
 (K, M, shifts): quadratic forms take at most ceil((k-1)/2) pointwise
 operator applications per side, and the band of omega M P_k that the PDE
 solver factorizes is read off the factor chain by grouped column probes.
@@ -25,11 +25,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ball import GEODESIC, DimensionParams, RadialFunction, RadialGrid
 from .errors import DiscretizationError, DomainError
-from .mesh import column_dots
+from .mesh import band_apply, column_dots
 
 ENERGY_CLAMP_REL = 1e-12
 SCHEME_ORDER = 4  # conservative documented order for energy functionals
@@ -62,23 +61,21 @@ class GJMSOperator:
     family as a (P, n) block of rows.
     """
 
-    stiffness: sp.csr_matrix
+    stiffness: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
     shifts: tuple
     dims: DimensionParams
 
     def _weighted_factor(self, j: int, z: np.ndarray) -> np.ndarray:
         """B_j z = K z + sigma_j M z, the M-weighted j-th factor (symmetric)."""
-        mass = self.mass if z.ndim == 1 else self.mass[:, None]
-        return self.stiffness @ z + self.shifts[j] * (mass * z)
+        return band_apply(self.stiffness, z) + self.shifts[j] * (self.mass * z)
 
     def apply(self, u, js=None) -> np.ndarray:
         """Apply (A + sigma_j) for j in js (default: all, i.e. P_k u) pointwise."""
-        z = _values(u).T.copy()  # a block runs as one column per profile
-        mass = self.mass if z.ndim == 1 else self.mass[:, None]
+        z = _values(u)
         for j in range(len(self.shifts)) if js is None else js:
-            z = (self.stiffness @ z) / mass + self.shifts[j] * z
-        return z.T
+            z = band_apply(self.stiffness, z) / self.mass + self.shifts[j] * z
+        return z
 
     def quadratic_form(self, u, w=None):
         """int (P_k u) w dv_g, exactly symmetric in (u, w); one value per row
@@ -88,9 +85,9 @@ class GJMSOperator:
         k = len(self.shifts)
         a = (k - 1) // 2
         b = k - 1 - a
-        y = self.apply(uv, range(a)).T
-        z = self.apply(wv, range(a + 1, a + 1 + b)).T
-        return self.dims.omega_Nm1 * column_dots(y, self._weighted_factor(a, z))
+        y = self.apply(uv, range(a))
+        z = self.apply(wv, range(a + 1, a + 1 + b))
+        return self.dims.omega_Nm1 * column_dots(y.T, self._weighted_factor(a, z).T)
 
     def energy_band(self) -> np.ndarray:
         """omega M P_k = omega B_1 M^{-1} B_2 ... M^{-1} B_k in LAPACK general
@@ -99,22 +96,23 @@ class GJMSOperator:
         The factor chain runs on the 2 bw + 1 probe columns, each the sum of
         the e_j with j = c mod (2 bw + 1): columns that far apart share no
         row of the product (Curtis, Powell & Reid 1974)."""
-        K, k, n = self.stiffness, len(self.shifts), self.mass.size
-        i = np.repeat(np.arange(n), np.diff(K.indptr))
-        bw = k * int(np.max(np.abs(i - K.indices)))
+        k, n = len(self.shifts), self.mass.size
+        bw = k * (self.stiffness.shape[0] // 2)
         group = np.arange(n) % (2 * bw + 1)
-        z = np.zeros((n, min(2 * bw + 1, n)))
-        z[np.arange(n), group] = 1.0  # the probe columns
+        z = np.zeros((min(2 * bw + 1, n), n))
+        z[group, np.arange(n)] = 1.0  # the probe columns, one per row
         z = self._weighted_factor(k - 1, z)
         for j in range(k - 2, -1, -1):
-            z = self._weighted_factor(j, z / self.mass[:, None])
+            z = self._weighted_factor(j, z / self.mass)
         i = np.arange(2 * bw + 1)[:, None] + np.arange(n) - bw  # row of entry (r, j)
-        entries = z.take(i * z.shape[1] + group, mode="clip")  # z[i, group[j]]
+        entries = z.take(group * n + i, mode="clip")  # z[group[j], i]
         return self.dims.omega_Nm1 * np.where((i >= 0) & (i < n), entries, 0.0)
 
     @property
-    def matrix(self) -> sp.csr_matrix:
-        """Pointwise P_k as one sparse matrix, (omega M)^{-1} times the band."""
+    def matrix(self):
+        """Pointwise P_k as one CSR matrix, (omega M)^{-1} times the band."""
+        import scipy.sparse as sp
+
         band = self.energy_band()
         bw, n = band.shape[0] // 2, band.shape[1]
         mass_dv = np.pad(self.dims.omega_Nm1 * self.mass, bw, constant_values=1.0)
@@ -123,25 +121,32 @@ class GJMSOperator:
 
     def restrict(self, n: int) -> "GJMSOperator":
         """The same operator on the first n nodes (Dirichlet at the dropped ones)."""
-        return GJMSOperator(self.stiffness[:n, :n], self.mass[:n], self.shifts, self.dims)
+        band = self.stiffness[:, :n].copy()  # column i holds row i of K
+        band[np.arange(n) + np.arange(band.shape[0])[:, None] - band.shape[0] // 2 >= n] = 0.0
+        return GJMSOperator(band, self.mass[:n], self.shifts, self.dims)
 
 
-def euclidean_laplacian_radial(dims: DimensionParams, grid: RadialGrid) -> sp.csr_matrix:
+def _laplacian_csr(dims: DimensionParams, grid: RadialGrid, metric: str):
+    """-M^{-1} K as CSR; band column i is its row i, so the band as DIA is its transpose."""
+    import scipy.sparse as sp
+
+    K, M = _laplacian_parts(dims, grid, metric)
+    offsets = np.arange(K.shape[0]) - K.shape[0] // 2
+    return sp.dia_matrix((-(1.0 / M) * K[::-1], offsets), shape=(M.size, M.size)).T.tocsr()
+
+
+def euclidean_laplacian_radial(dims: DimensionParams, grid: RadialGrid):
     """Radial flat Laplacian Delta f = f'' + (N-1)/s f' as a CSR matrix."""
-    K, M = _laplacian_parts(dims, grid, "euclidean")
-    return (-sp.diags(1.0 / M) @ K).tocsr()
+    return _laplacian_csr(dims, grid, "euclidean")
 
 
-def hyperbolic_laplacian_radial(dims: DimensionParams, grid: RadialGrid) -> sp.csr_matrix:
+def hyperbolic_laplacian_radial(dims: DimensionParams, grid: RadialGrid):
     """Radial Laplace-Beltrami Delta_g f = f'' + (N-1) coth(r) f' as a CSR
     matrix."""
-    K, M = _laplacian_parts(dims, grid, "hyperbolic")
-    return (-sp.diags(1.0 / M) @ K).tocsr()
+    return _laplacian_csr(dims, grid, "hyperbolic")
 
 
-def hyperbolic_laplacian_coordinate_form(
-    dims: DimensionParams, grid: RadialGrid
-) -> sp.csr_matrix:
+def hyperbolic_laplacian_coordinate_form(dims: DimensionParams, grid: RadialGrid):
     """Strong-form Delta_g assembled from its Euclidean-coordinate expression
     ((1-s^2)/2)^2 Delta + (N-2)((1-s^2)/2) s d/ds.
 
@@ -149,21 +154,17 @@ def hyperbolic_laplacian_coordinate_form(
     zeroed (the 1/s coefficient is singular there) and comparisons are for
     interior nodes.
     """
+    import scipy.sparse as sp
+
     if grid.coordinate != GEODESIC:
         raise DomainError("coordinate-form cross-check lives on geodesic grids")
     s = grid.euclidean_nodes
-    oms = grid.one_minus_s
-    one_minus_s2 = oms * (1.0 + s)
-    D_r = grid.mesh.deriv_matrix()
-    D_s = sp.diags(2.0 / one_minus_s2) @ D_r
-    D_ss = (D_s @ D_s).tocsr()
+    conf = grid.one_minus_s * (1.0 + s) / 2.0  # (1 - s^2)/2 = ds/dr
+    D_s = sp.diags(1.0 / conf) @ grid.mesh.deriv_matrix()
     inv_s = np.zeros_like(s)
     inv_s[1:] = 1.0 / s[1:]
-    conf2 = (one_minus_s2 / 2.0) ** 2
     first_order = sp.diags((dims.N - 1) * inv_s) @ D_s
-    L = sp.diags(conf2) @ (D_ss + first_order) + sp.diags(
-        (dims.N - 2) * (one_minus_s2 / 2.0) * s
-    ) @ D_s
+    L = sp.diags(conf**2) @ (D_s @ D_s + first_order) + sp.diags((dims.N - 2) * conf * s) @ D_s
     L = L.tolil()
     L[0, :] = 0.0
     return L.tocsr()
@@ -240,16 +241,15 @@ def gradient_energies(values, grid: RadialGrid, dims: DimensionParams, m: int,
     chain reuses for its next step.
     """
     K, M = _laplacian_parts(dims, grid, metric)
-    z = np.asarray(values, dtype=float).T  # a block runs as one column per profile
-    mass = M if z.ndim == 1 else M[:, None]
+    z = np.asarray(values, dtype=float)
     energies = []
     for order in range(m + 1):
         if order % 2 == 0:
-            energies.append(column_dots(M, z * z))
+            energies.append(column_dots(M, (z * z).T))
         else:
-            Kz = K @ z
-            energies.append(column_dots(z, Kz))
-            z = Kz / mass
+            Kz = band_apply(K, z)
+            energies.append(column_dots(z.T, Kz.T))
+            z = Kz / M
     return dims.omega_Nm1 * np.array(energies).T
 
 

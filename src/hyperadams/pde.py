@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solveh_banded
 
 from .ball import DimensionParams, RadialFunction, RadialGrid
 from .errors import DiscretizationError, DomainError, FeasibilityError
@@ -38,7 +37,6 @@ from .operators import gjms_assemble
 CONVEX = "convex"
 LOG_CONSTRAINED = "log-constrained"
 
-(_gbsv,) = get_lapack_funcs(("gbsv",), dtype=np.float64)
 # a predicted decrease at most this times max(1, |J|) is below what a
 # difference of two values of J resolves; the line search then takes t = 1
 FULL_STEP_DECREASE = 1e-10
@@ -242,6 +240,8 @@ def _convex_linearize(u: np.ndarray, disc: _Discretization) -> tuple:
 def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray:
     """Oracle path: solve (omega M P_k) u = rhs via a banded Cholesky solve
     of the upper half of the band storage."""
+    from scipy.linalg import solveh_banded
+
     return solveh_banded(disc.band[: disc.bandwidth + 1], rhs_dv)
 
 
@@ -252,6 +252,8 @@ def _band_solve(
     replaced by ``diag``, by one LU with partial pivoting (LAPACK gbsv) of
     the symmetrically scaled band of A (the scaling keeps the axis rows
     harmless) and Sherman-Morrison for the rank-one term."""
+    from scipy.linalg.lapack import dgbsv  # scipy.linalg loads on the first Newton step
+
     bw, n = disc.bandwidth, disc.n
     ab = np.empty((3 * bw + 1, n))  # the top bw rows take the LU fill-in
     ab[:bw] = 0.0
@@ -265,7 +267,7 @@ def _band_solve(
     lower *= inv[disc.row_scale_index]  # row i of entry (i, j)
     lower *= inv[bw : bw + n]  # column j
     rhs = b / d if w is None else np.array([b / d, w / d]).T
-    _, _, x, info = _gbsv(bw, bw, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    _, _, x, info = dgbsv(bw, bw, ab, rhs, overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise disc.failure("is singular")
     if info < 0:

@@ -46,6 +46,32 @@ def csv_body(path: str) -> bytes:
     return data[data.index(b"\n") + 1 :]
 
 
+def csr_of_band(band: np.ndarray):
+    """The scipy CSR oracle of a stiffness matrix in band storage
+    ``band[p + j - i, i] = K[i, j]``: every pair of nodes that share an
+    element is stored (i <= j share one when j <= p (i // p + 1)), in column
+    order per row, as the element-coupling CSR pattern holds them."""
+    import scipy.sparse as sp
+
+    width, n = band.shape
+    p = width // 2
+    i = np.arange(n)[:, None]
+    j = i + np.arange(width) - p
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    stored = (j >= 0) & (j < n) & (hi <= p * (lo // p + 1))
+    indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+    return sp.csr_matrix((band.T[stored], j[stored], indptr), shape=(n, n))
+
+
+def band_of_csr(K, p: int) -> np.ndarray:
+    """The band storage ``band[p + j - i, i] = K[i, j]`` of a CSR matrix whose
+    entries lie within p of the diagonal; every other slot is +0.0."""
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    band = np.zeros((2 * p + 1, K.shape[0]))
+    band[p + K.indices - rows, rows] = K.data
+    return band
+
+
 def junction_jumps(prof) -> dict:
     """|v(rho) - v(rho^-)| of a Moser profile at its two branch junctions,
     the inner one rho = 1/sqrt(m) and the outer one rho = 1."""

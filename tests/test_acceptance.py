@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import csv_body, cutoff_condition_residuals, junction_jumps
+from conftest import csr_of_band, csv_body, cutoff_condition_residuals, junction_jumps
 from scipy.integrate import quad
 
 from hyperadams.ball import (
@@ -356,7 +356,7 @@ def _restricted_product(problem):
 
     op = gjms_assemble(problem.dims, problem.grid)
     keep = np.arange(problem.grid.n_nodes - 1)
-    K = op.stiffness.tocsc()[keep][:, keep].tocsr()
+    K = csr_of_band(op.stiffness).tocsc()[keep][:, keep].tocsr()
     M = op.mass[keep]
     A = (sp.diags(1.0 / M) @ K).tocsr()
     P = None

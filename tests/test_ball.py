@@ -127,11 +127,20 @@ class TestIntegrateRadial:
             RadialFunction(geo_grid, vals)
 
     def test_euclidean_variant_flat_volume(self, dims1):
-        # int_{B} 1 dx over the Euclidean image of a geodesic ball
-        grid = RadialGrid.geodesic(r_max=2.0, n_elements=5, degree=6, grading=1.0)
-        one = RadialFunction(grid, np.ones(grid.n_nodes))
-        got = integrate_radial(one, dims1, measure="euclidean")
+        # int_{B} 1 dx over the Euclidean image of a geodesic ball: the flat
+        # density through ds/dr = (1 - s^2)/2 on the geodesic nodes, and the
+        # flat measure of the Euclidean-radius grid of the same ball
         exact = math.pi * math.tanh(1.0) ** 2
+        grid = RadialGrid.geodesic(r_max=2.0, n_elements=5, degree=6, grading=1.0)
+        s = grid.euclidean_nodes
+        ds_dr = 0.5 * grid.one_minus_s * (1.0 + s)
+        got = grid.mesh.integrate(dims1.omega_Nm1 * s ** (dims1.N - 1) * ds_dr)
+        assert abs(got - exact) / exact < 1e-12
+        one = RadialFunction(grid, np.ones(grid.n_nodes))
+        with pytest.raises(DomainError, match="Euclidean-radius grid"):
+            integrate_radial(one, dims1, measure="euclidean")
+        flat = RadialGrid.euclidean_ball(s_max=math.tanh(1.0), n_elements=5, degree=6)
+        got = integrate_radial(RadialFunction(flat, np.ones(flat.n_nodes)), dims1, "euclidean")
         assert abs(got - exact) / exact < 1e-12
 
     def test_gaussian_self_convergence_order(self, dims2):
@@ -147,10 +156,17 @@ class TestIntegrateRadial:
     @pytest.mark.parametrize("measure", ["hyperbolic", "euclidean"])
     @pytest.mark.parametrize("r_max", [None, 2.0])
     def test_family_is_bitwise_per_profile(self, dims2, rng, measure, r_max):
-        # r_max None: the full grid; 2.0: the grid cut at its edge at 2.0
-        grid = RadialGrid.geodesic(
-            r_max=r_max or 4.0, n_elements=10 if r_max is None else 5, degree=6, grading=1.0
-        )
+        # r_max None: the full grid; 2.0: the grid cut at its edge at 2.0; the
+        # flat measure lives on the Euclidean-radius grid of the same ball
+        n_elements = 10 if r_max is None else 5
+        if measure == "hyperbolic":
+            grid = RadialGrid.geodesic(
+                r_max=r_max or 4.0, n_elements=n_elements, degree=6, grading=1.0
+            )
+        else:
+            grid = RadialGrid.euclidean_ball(
+                s_max=math.tanh((r_max or 4.0) / 2), n_elements=n_elements, degree=6
+            )
         block = rng.standard_normal((7, grid.n_nodes))
         got = integrate_radial(RadialFunction(grid, block), dims2, measure)
         want = [integrate_radial(RadialFunction(grid, row), dims2, measure)

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import csv_body
+from conftest import band_of_csr, csr_of_band, csv_body
 
 import hyperadams
 from hyperadams.cli import _parser, main
@@ -850,8 +850,9 @@ class TestShippedConfigs:
         self, name, command, tmp_path, monkeypatch
     ):
         # a verdict must not hang on the last bits of K, which another BLAS
-        # kernel or summation order would change: each stored entry is
-        # multiplied by 1 + 2^-52 U(-1, 1), then K is symmetrized
+        # kernel or summation order would change: each structurally nonzero
+        # entry, in CSR order, is multiplied by 1 + 2^-52 U(-1, 1), then K is
+        # symmetrized and put back in band storage
         stiffness = Mesh1D.stiffness
         cfg = os.path.join(CONFIG_DIR, name)
         failed = []
@@ -859,9 +860,9 @@ class TestShippedConfigs:
             rng = np.random.default_rng(draw)
 
             def perturbed(mesh, coeff):
-                K = stiffness(mesh, coeff)
+                K = csr_of_band(stiffness(mesh, coeff))
                 K.data *= 1.0 + 2.0**-52 * rng.uniform(-1.0, 1.0, K.data.size)
-                return ((K + K.T) / 2).tocsr()
+                return band_of_csr(((K + K.T) / 2).tocsr(), mesh.p)
 
             monkeypatch.setattr(Mesh1D, "stiffness", perturbed)
             code = main([command, cfg, "--out", str(tmp_path / str(draw))])
@@ -881,13 +882,38 @@ class TestShippedConfigs:
         assert "order" not in err
 
 
-def test_cli_import_loads_no_sparse_linalg():
-    # the Newton steps solve on the band storage of H0, so starting the CLI
-    # pays for no sparse LU module
+def test_scipy_loads_only_for_solve_pde(tmp_path):
+    # K is applied in band storage by numpy, so neither starting the CLI nor
+    # a run that does not solve the PDE loads any scipy module; a solve-pde
+    # run loads scipy.linalg for its LAPACK band solve and still no
+    # scipy.sparse
     src = os.path.dirname(os.path.dirname(hyperadams.__file__))
-    code = "import sys, hyperadams.cli; print('scipy.sparse.linalg' in sys.modules)"
+    non_pde = [
+        "blowup_k1.cfg", "conformal_identity.cfg", "constants.cfg",
+        "inequalities.cfg", "isometry_2d.cfg", "sobolev_k1.cfg",
+    ]
+    assert sorted(non_pde + [c for c in SHIPPED_CONFIGS if c.startswith("solve_pde")]) == (
+        SHIPPED_CONFIGS
+    )
+    code = f"""
+import os, sys
+import hyperadams.cli as cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print("@ import", scipy_modules())
+for name in {non_pde!r}:
+    out = os.path.join({str(tmp_path)!r}, name)
+    assert cli.main(["run", os.path.join({CONFIG_DIR!r}, name), "--out", out]) == 0
+    print("@", name, scipy_modules())
+cfg = os.path.join({CONFIG_DIR!r}, "solve_pde_linear_k1.cfg")
+assert cli.main(["run", cfg, "--out", os.path.join({str(tmp_path)!r}, "pde")]) == 0
+print("@ solve-pde", "scipy.linalg" in sys.modules, "scipy.sparse" in sys.modules)
+"""
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    lines = [line for line in out.stdout.splitlines() if line.startswith("@ ")]
+    assert lines[0] == "@ import []"
+    assert lines[1:-1] == [f"@ {name} []" for name in non_pde]
+    assert lines[-1] == "@ solve-pde True False"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import band_of_csr, csr_of_band
 
 from hyperadams.errors import DiscretizationError
 from hyperadams.mesh import (
     Mesh1D,
     _axis_rule,
     _reference_derivative,
+    band_apply,
     column_dots,
     differentiation_matrix,
     gauss_legendre,
@@ -50,7 +52,7 @@ def test_differentiation_exact_on_polynomials(x):
 
 def test_stiffness_symmetric_psd_annihilates_constants():
     mesh = Mesh1D(graded_edges(5.0, 10, 2.0), p=5)
-    K = mesh.stiffness(np.sinh(mesh.nodes))
+    K = csr_of_band(mesh.stiffness(np.sinh(mesh.nodes)))
     assert abs(K - K.T).max() < 1e-12
     assert np.max(np.abs(K @ np.ones(mesh.n_nodes))) < 1e-11
     eigs = np.linalg.eigvalsh(K.toarray())
@@ -130,8 +132,8 @@ def test_refining_elements_converges_at_documented_order():
     assert order > 3.5
 
 
-# The general COO assembly that the closed-form CSR structure replaces, kept
-# as the reference it must reproduce bit for bit.
+# The general COO assembly, kept as the reference the band assembly and the
+# CSR derivative matrix must reproduce bit for bit.
 def coo_scatter(mesh, blocks):
     rows = np.broadcast_to(mesh.elements[:, :, None], blocks.shape)
     cols = np.broadcast_to(mesh.elements[:, None, :], blocks.shape)
@@ -195,7 +197,12 @@ ASSEMBLY_EDGES = {
 def test_assembly_matches_coo_reference(p, edges):
     mesh = Mesh1D(edges, p=p)
     coeff = np.sinh(mesh.nodes) ** 3
-    assert_same_csr(mesh.stiffness(coeff), reference_stiffness(mesh, coeff))
+    band, reference = mesh.stiffness(coeff), reference_stiffness(mesh, coeff)
+    assert band.shape == (2 * p + 1, mesh.n_nodes)
+    assert_same_csr(csr_of_band(band), reference)
+    # every other slot, and every zero, is +0.0
+    assert np.array_equal(band, band_of_csr(reference, p))
+    assert not np.any(np.signbit(band[band == 0.0]))
     assert_same_csr(mesh.deriv_matrix(), reference_deriv_matrix(mesh))
     assert np.array_equal(mesh.lumped_mass(coeff), reference_lumped_mass(mesh, coeff))
 
@@ -232,6 +239,40 @@ def test_non_positive_axis_mass_is_a_discretization_error():
     mesh = Mesh1D(graded_edges(1.0, 4, 1.0), p=4)
     with pytest.raises(DiscretizationError, match="non-positive"):
         mesh.lumped_mass(mesh.nodes, axis_fn=lambda t: -t)
+
+
+@pytest.mark.parametrize("edges", ASSEMBLY_EDGES.values(), ids=ASSEMBLY_EDGES.keys())
+@pytest.mark.parametrize("p", range(1, 13))
+def test_band_apply_is_bitwise_csr_matvec(p, edges):
+    # scipy's CSR matvec on the COO reference sums each row in column order
+    # from +0.0; the band apply must give its bits on a vector, on C- and
+    # F-ordered blocks of rows, on zeros (no -0.0) and on a restricted operator
+    from hyperadams.operators import GJMSOperator
+
+    mesh = Mesh1D(edges, p=p)
+    n = mesh.n_nodes
+    coeff = np.sinh(mesh.nodes) ** 3
+    band, K = mesh.stiffness(coeff), reference_stiffness(mesh, coeff)
+    rng = np.random.default_rng(p)
+    z = rng.standard_normal(n)
+    assert band_apply(band, z).tobytes() == (K @ z).tobytes()
+    block = rng.standard_normal((7, n))
+    want = np.ascontiguousarray((K @ block.T).T)
+    for order in ("C", "F"):
+        got = band_apply(band, np.asarray(block, order=order))
+        assert got.shape == block.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    # the last: signed zeros that make every product of the middle row -0.0,
+    # which a sum started from -0.0 would keep
+    signed = np.where(K[n // 2].toarray()[0] < 0.0, 0.0, -0.0)
+    for zeros in (np.zeros(n), -np.zeros(n), signed):
+        got = band_apply(band, zeros)
+        assert got.tobytes() == (K @ zeros).tobytes() == np.zeros(n).tobytes()
+    m = max(n - p - 1, 1)  # cuts through an element where there is one to cut
+    restricted = GJMSOperator(band, np.ones(n), (0,), None).restrict(m).stiffness
+    assert_same_csr(csr_of_band(restricted), K[:m, :m].tocsr())
+    assert np.array_equal(restricted, band_of_csr(K[:m, :m].tocsr(), p))
+    assert band_apply(restricted, z[:m]).tobytes() == (K[:m, :m] @ z[:m]).tobytes()
 
 
 def loop_column_dots(x, y):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import csr_of_band
 
 from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
 from hyperadams.errors import DiscretizationError, DomainError
@@ -211,7 +212,7 @@ class TestFactoredOperator:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_block_is_bitwise_per_row(self, k, geo_grid, rng):
-        # a (P, n) block runs one sparse product per factor for all rows and
+        # a (P, n) block runs one band apply per factor for all rows and
         # one dot per row: every value is bitwise its single-profile call
         P = gjms_assemble(DimensionParams(k), geo_grid)
         r = geo_grid.geodesic_nodes
@@ -230,7 +231,7 @@ class TestFactoredOperator:
     def sparse_product(P, absolute=False):
         """omega B_1 M^{-1} B_2 ... M^{-1} B_k with the general sparse sums
         B_j = K + sigma_j M; with absolute=True, the same product of |B_j|."""
-        factors = [(P.stiffness + s * sp.diags(P.mass)).tocsr() for s in P.shifts]
+        factors = [(csr_of_band(P.stiffness) + s * sp.diags(P.mass)).tocsr() for s in P.shifts]
         factors = [abs(B) for B in factors] if absolute else factors
         weighted = factors[0]
         for B in factors[1:]:
@@ -277,11 +278,11 @@ class TestFactoredOperator:
         # probe columns 2 bw + 1 apart never meet in a row of the product,
         # so the grouped chain gives the bits of the chain on each e_j
         P = gjms_assemble(DimensionParams(k), geo_grid)
-        z = P._weighted_factor(k - 1, np.eye(geo_grid.n_nodes))
+        z = P._weighted_factor(k - 1, np.eye(geo_grid.n_nodes))  # row j: chain on e_j
         for j in range(k - 2, -1, -1):
-            z = P._weighted_factor(j, z / P.mass[:, None])
+            z = P._weighted_factor(j, z / P.mass)
         bw = k * geo_grid.degree
-        expected = self.band_of(sp.csr_matrix(P.dims.omega_Nm1 * z), bw)
+        expected = self.band_of(sp.csr_matrix(P.dims.omega_Nm1 * z.T), bw)
         assert P.energy_band().tobytes() == expected.tobytes()
 
 
@@ -380,7 +381,8 @@ class TestEnergies:
         from hyperadams.operators import _laplacian_parts, gradient_energies
 
         def one_order(vals, m):  # the per-order loop the chain replaced
-            K, M = _laplacian_parts(dims3, geo_grid, "hyperbolic")
+            band, M = _laplacian_parts(dims3, geo_grid, "hyperbolic")
+            K = csr_of_band(band)
             z = vals
             for _ in range(m // 2):
                 z = (K @ z) / M

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import csr_of_band
 
 from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
 from hyperadams.errors import DiscretizationError, DomainError, FeasibilityError
@@ -50,7 +51,7 @@ def restricted_product_matrix(problem):
     op = gjms_assemble(problem.dims, problem.grid)
     n = problem.grid.n_nodes
     keep = np.arange(n - 1)
-    K = op.stiffness.tocsc()[keep][:, keep].tocsr()
+    K = csr_of_band(op.stiffness).tocsc()[keep][:, keep].tocsr()
     M = op.mass[keep]
     A = (sp.diags(1.0 / M) @ K).tocsr()
     P = None
@@ -69,7 +70,7 @@ def restricted_energy_matrix(problem, absolute=False):
 
     op = gjms_assemble(problem.dims, problem.grid)
     keep = np.arange(problem.grid.n_nodes - 1)
-    K = op.stiffness.tocsc()[keep][:, keep].tocsr()
+    K = csr_of_band(op.stiffness).tocsc()[keep][:, keep].tocsr()
     M = op.mass[keep]
     factors = [(K + sigma * sp.diags(M)).tocsr() for sigma in op.shifts]
     factors = [abs(B) for B in factors] if absolute else factors
