@@ -13,7 +13,6 @@ from .ball import (
     hyperbolic_translate,
     integrate_radial,
     pushforward_2d,
-    volume_weight,
 )
 from .extremals import (
     BlowupRecord,

@@ -82,13 +82,6 @@ def euclidean_to_geodesic(s):
     return float(r) if np.isscalar(s) else r
 
 
-def volume_weight(r, dims: DimensionParams):
-    """Radial density omega_{N-1} sinh^{N-1}(r) of the hyperbolic volume."""
-    r_arr = np.asarray(r, dtype=float)
-    out = dims.omega_Nm1 * np.sinh(r_arr) ** (dims.N - 1)
-    return float(out) if np.isscalar(r) else out
-
-
 class RadialGrid:
     """Composite Gauss-Lobatto grid in the geodesic or Euclidean radius.
 
@@ -200,68 +193,63 @@ class RadialGrid:
     def euclidean_nodes(self) -> np.ndarray:
         return self._s
 
-    # -- measures ------------------------------------------------------------
+    # -- measures and operator weights -------------------------------------
+
+    def _mass_weight(self, metric: str, N: int, scale: float = 1.0):
+        """``scale`` times the metric's radial volume weight in its own radius,
+        as a function: sinh^{N-1} r on a geodesic grid or s^{N-1} (flat).  A
+        sinh weight that overflows, scale included, would make every
+        integral NaN and raises."""
+        if metric == "hyperbolic":
+            if self.coordinate != GEODESIC:
+                raise DomainError("the hyperbolic metric requires a geodesic grid")
+
+            def sinh_power(r):
+                with np.errstate(over="ignore"):  # reported below
+                    w = scale * np.sinh(r) ** (N - 1)
+                if not np.all(np.isfinite(w)):
+                    raise DiscretizationError(
+                        "hyperbolic volume weight sinh^(N-1) r overflows below "
+                        f"r_max = {self.R_max:g}; lower r_max"
+                    )
+                return w
+
+            return sinh_power
+        if metric == "euclidean":
+            return lambda s: scale * s ** (N - 1)
+        raise ValueError(f"unknown metric {metric!r}")
 
     def hyperbolic_density(self, dims: DimensionParams) -> np.ndarray:
         """Per-node density so that sum(quad_weights * density * f) = int f dv_g
         on a geodesic grid (read-only; formed on the first call for each
         dimension)."""
         if dims.N not in self._densities:
-            if self.coordinate != GEODESIC:
-                raise DomainError("the hyperbolic measure requires a geodesic grid")
-            with np.errstate(over="ignore"):  # _finite_weight reports an overflow
-                density = self._finite_weight(volume_weight(self._r, dims))
+            density = self._mass_weight("hyperbolic", dims.N, dims.omega_Nm1)(self._r)
             density.flags.writeable = False
             self._densities[dims.N] = density
         return self._densities[dims.N]
-
-    def _finite_weight(self, weight: np.ndarray) -> np.ndarray:
-        """A sinh^{N-1} r weight at the nodes; an overflow would make integrals NaN."""
-        if not np.all(np.isfinite(weight)):
-            raise DiscretizationError(
-                "hyperbolic volume weight sinh^(N-1) r overflows below "
-                f"r_max = {self.R_max:g}; lower r_max"
-            )
-        return weight
 
     def euclidean_density(self, dims: DimensionParams) -> np.ndarray:
         """Per-node density for the flat measure int_{B} f dx (radial form)
         on a Euclidean-radius grid."""
         if self.coordinate != EUCLIDEAN:
             raise DomainError("the flat measure requires a Euclidean-radius grid")
-        return dims.omega_Nm1 * self._s ** (dims.N - 1)
-
-    # -- operator coefficients (used by the operators module) ---------------
+        return self._mass_weight("euclidean", dims.N, dims.omega_Nm1)(self._s)
 
     def laplacian_coefficients(self, metric: str, dims: DimensionParams):
-        """(stiffness coeff, mass coeff, axis function) in the primary
-        coordinate for the radial Laplace operator of the given metric."""
-        N = dims.N
-        if metric == "hyperbolic":
-            if self.coordinate != GEODESIC:
-                raise DomainError("hyperbolic operators require a geodesic grid")
-            r = self._r
-            with np.errstate(over="ignore"):  # _finite_weight reports an overflow
-                c = self._finite_weight(np.sinh(r) ** (N - 1))
-            return c, c, lambda t: np.sinh(t) ** (N - 1)
-        if metric == "euclidean":
-            if self.coordinate == EUCLIDEAN:
-                s = self._s
-                c = s ** (N - 1)
-                return c, c, lambda t: t ** (N - 1)
-            s, oms = self._s, self.one_minus_s
-            one_minus_s2 = oms * (1.0 + s)
-            dr_ds = 2.0 / one_minus_s2
-            ds_dr = 0.5 * one_minus_s2
-            c_stiff = s ** (N - 1) * dr_ds
-            c_mass = s ** (N - 1) * ds_dr
+        """(stiffness weight, mass weight) of the metric's radial Laplace
+        operator as functions of the primary coordinate: the metric's volume
+        weight twice in its own radius; on a geodesic grid the flat pair
+        s^{N-1} dr/ds, s^{N-1} ds/dr, through the stable complement 1 - s."""
+        weight = self._mass_weight(metric, dims.N)
+        if metric == "hyperbolic" or self.coordinate == EUCLIDEAN:
+            return weight, weight
 
-            def axis_fn(t):
-                st = np.tanh(t / 2.0)
-                return st ** (N - 1) * (1.0 - st**2) / 2.0
+        def flat(r, jacobian):  # dr/ds = 2/x and ds/dr = x/2 of x = 1 - s^2
+            s, one_minus_s = geodesic_to_euclidean(r, complement=True)
+            return weight(s) * jacobian(one_minus_s * (1.0 + s))
 
-            return c_stiff, c_mass, axis_fn
-        raise ValueError(f"unknown metric {metric!r}")
+        return (lambda r: flat(r, lambda x: 2.0 / x)), (lambda r: flat(r, lambda x: 0.5 * x))
 
     def __repr__(self):
         return (

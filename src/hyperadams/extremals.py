@@ -242,8 +242,14 @@ def _normalized_profile(
     squared critical energy E (u~_m / sqrt(E) is the normalized family)."""
     hgrid = moser_hyperbolic_grid(m, k, r_max=r_max, degree=degree)
     profile = build_moser_profile(m, k, hgrid)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        energy = moser_energy(profile, DimensionParams(k), degree=degree)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            energy = moser_energy(profile, DimensionParams(k), degree=degree)
+    except DiscretizationError as exc:  # m sets the flat energy grid's first width
+        raise DiscretizationError(
+            f"axis mass correction came out non-positive at m = {m:.6g}, k = {k} (axis "
+            f"element width {_H_FIRST_FRACTION / math.sqrt(m):.3g}): it shrinks with m; lower m"
+        ) from exc
     if not math.isfinite(energy):
         raise DiscretizationError(
             f"the Moser energy at m = {m:.6g}, k = {k} overflows a double; lower m"

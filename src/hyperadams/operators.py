@@ -42,9 +42,9 @@ def _laplacian_parts(dims: DimensionParams, grid: RadialGrid, metric: str):
     """Cached (K, M) for the weighted radial Laplacian of the given metric."""
     key = (metric, dims.N)
     if key not in grid.operator_cache:
-        c_stiff, c_mass, axis_fn = grid.laplacian_coefficients(metric, dims)
-        K = grid.mesh.stiffness(c_stiff)
-        M = grid.mesh.lumped_mass(c_mass, axis_fn=axis_fn)
+        stiffness_weight, mass_weight = grid.laplacian_coefficients(metric, dims)
+        K = grid.mesh.stiffness(stiffness_weight(grid.mesh.nodes))
+        M = grid.mesh.lumped_mass(mass_weight)
         M.flags.writeable = False
         grid.operator_cache[key] = (K, M)
     return grid.operator_cache[key]

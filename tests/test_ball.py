@@ -16,7 +16,6 @@ from hyperadams.ball import (
     integrate_radial,
     pushforward_2d,
     squared_norm,
-    volume_weight,
 )
 from hyperadams.errors import (
     DiscretizationError,
@@ -55,12 +54,14 @@ class TestRadiusConvert:
 
 
 class TestVolumeWeight:
-    def test_zero_at_origin(self, dims2):
-        assert volume_weight(0.0, dims2) == 0.0
+    def test_zero_at_origin(self, geo_grid, dims2):
+        assert geo_grid.hyperbolic_density(dims2)[0] == 0.0
 
-    def test_n2_closed_form(self, dims1):
-        r = np.linspace(0.1, 5.0, 50)
-        assert np.allclose(volume_weight(r, dims1), 2 * np.pi * np.sinh(r), rtol=1e-14)
+    def test_n2_closed_form(self, geo_grid, dims1):
+        r = geo_grid.geodesic_nodes
+        assert np.allclose(
+            geo_grid.hyperbolic_density(dims1), 2 * np.pi * np.sinh(r), rtol=1e-14
+        )
 
     def test_coordinate_consistency_all_nodes(self, dims1, dims2, dims3):
         # geodesic form vs Euclidean-coordinate form, stable complements
@@ -87,8 +88,19 @@ class TestVolumeWeight:
                 if metric_form == "density":
                     grid.hyperbolic_density(dims2)
                 else:
-                    grid.laplacian_coefficients("hyperbolic", dims2)
+                    _, mass_weight = grid.laplacian_coefficients("hyperbolic", dims2)
+                    mass_weight(grid.geodesic_nodes)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_density_overflow_counts_the_sphere_measure(self, dims2):
+        # omega_3 sinh^3 r overflows a double from r ~ 236.3 on, sinh^3 r only
+        # from r ~ 237.3: in between the density raises and the operator
+        # weight, which carries no omega, stays finite
+        grid = RadialGrid.geodesic(r_max=236.8, n_elements=24, degree=6, grading=1.0)
+        with pytest.raises(DiscretizationError, match="r_max = 236.8"):
+            grid.hyperbolic_density(dims2)
+        _, mass_weight = grid.laplacian_coefficients("hyperbolic", dims2)
+        assert np.all(np.isfinite(mass_weight(grid.geodesic_nodes)))
 
     @pytest.mark.parametrize("metric_form", ["density", "laplacian"])
     def test_hyperbolic_measure_needs_a_geodesic_grid(self, dims2, metric_form):

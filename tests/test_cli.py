@@ -448,13 +448,16 @@ class TestCLI:
     )
     def test_non_positive_axis_mass_exit_3_no_output(self, tmp_path, capsys, text):
         # at m = 1e200 the axis element's weight underflows; the lumped mass
-        # cannot be corrected and that is a numerical failure, not a crash
+        # cannot be corrected and that is a numerical failure, not a crash.
+        # m sets the first width here (neither experiment reads grading), so
+        # the advice is to lower m
         cfg = write(tmp_path, "axis.cfg", text)
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 3
-        assert "numerical failure: axis mass correction came out non-positive" in (
-            capsys.readouterr().err
-        )
+        err = capsys.readouterr().err
+        assert "numerical failure: axis mass correction came out non-positive" in err
+        assert "at m = 1e+200, k = 2" in err and err.rstrip().endswith("; lower m")
+        assert "coarsen" not in err and "grading" not in err
         assert not out.exists()
 
     def test_overflowed_blowup_functional_exit_3_no_output(self, tmp_path, capsys):

@@ -62,7 +62,7 @@ def test_stiffness_symmetric_psd_annihilates_constants():
 def test_lumped_mass_axis_correction_positive():
     mesh = Mesh1D(graded_edges(5.0, 8, 2.0), p=6)
     for q in (1, 3, 5):
-        m = mesh.lumped_mass(mesh.nodes**q, axis_fn=lambda t, q=q: t**q)
+        m = mesh.lumped_mass(lambda t, q=q: t**q)
         assert np.all(m > 0)
 
 
@@ -158,10 +158,9 @@ def reference_deriv_matrix(mesh):
     return coo_scatter(mesh, share[mesh.elements][:, :, None] * (Dref / mesh.jac[:, None, None]))
 
 
-def reference_lumped_mass(mesh, coeff, axis_fn=None):
-    m = mesh.quad_w * coeff
-    if axis_fn is not None and m[0] == 0.0:
-        m = m.copy()
+def reference_lumped_mass(mesh, weight):
+    m = mesh.quad_w * weight(mesh.nodes)
+    if m[0] == 0.0:
         xi, _ = gauss_lobatto(mesh.p)
         a, b = mesh.edges[0], mesh.edges[1]
         jac = 0.5 * (b - a)
@@ -170,7 +169,7 @@ def reference_lumped_mass(mesh, coeff, axis_fn=None):
         card[0] = 1.0
         phi0 = interpolate(xi, card, xg)
         x_phys = 0.5 * (a + b) + jac * xg
-        m[0] = float(np.dot(wg * jac, phi0**2 * axis_fn(x_phys)))
+        m[0] = float(np.dot(wg * jac, phi0**2 * weight(x_phys)))
     return m
 
 
@@ -196,7 +195,11 @@ ASSEMBLY_EDGES = {
 @pytest.mark.parametrize("p", range(1, 13))
 def test_assembly_matches_coo_reference(p, edges):
     mesh = Mesh1D(edges, p=p)
-    coeff = np.sinh(mesh.nodes) ** 3
+
+    def weight(t):
+        return np.sinh(t) ** 3
+
+    coeff = weight(mesh.nodes)
     band, reference = mesh.stiffness(coeff), reference_stiffness(mesh, coeff)
     assert band.shape == (2 * p + 1, mesh.n_nodes)
     assert_same_csr(csr_of_band(band), reference)
@@ -204,14 +207,7 @@ def test_assembly_matches_coo_reference(p, edges):
     assert np.array_equal(band, band_of_csr(reference, p))
     assert not np.any(np.signbit(band[band == 0.0]))
     assert_same_csr(mesh.deriv_matrix(), reference_deriv_matrix(mesh))
-    assert np.array_equal(mesh.lumped_mass(coeff), reference_lumped_mass(mesh, coeff))
-
-    def axis_fn(t):
-        return t**3
-
-    assert np.array_equal(
-        mesh.lumped_mass(coeff, axis_fn), reference_lumped_mass(mesh, coeff, axis_fn)
-    )
+    assert np.array_equal(mesh.lumped_mass(weight), reference_lumped_mass(mesh, weight))
 
 
 def test_reference_rules_built_once_per_degree_and_read_only():
@@ -230,7 +226,7 @@ def test_reference_rules_built_once_per_degree_and_read_only():
         mesh = Mesh1D(graded_edges(2.0, n_el, 1.5), p=p)
         mesh.stiffness(np.ones(mesh.n_nodes))
         mesh.deriv_matrix()
-        mesh.lumped_mass(mesh.nodes, axis_fn=lambda t: t)
+        mesh.lumped_mass(lambda t: t)
     assert _reference_derivative(p) is D and _axis_rule(p)[2] is phi0_sq
     assert (_reference_derivative.cache_info().misses, _axis_rule.cache_info().misses) == built
 
@@ -238,7 +234,7 @@ def test_reference_rules_built_once_per_degree_and_read_only():
 def test_non_positive_axis_mass_is_a_discretization_error():
     mesh = Mesh1D(graded_edges(1.0, 4, 1.0), p=4)
     with pytest.raises(DiscretizationError, match="non-positive"):
-        mesh.lumped_mass(mesh.nodes, axis_fn=lambda t: -t)
+        mesh.lumped_mass(lambda t: -t)
 
 
 @pytest.mark.parametrize("edges", ASSEMBLY_EDGES.values(), ids=ASSEMBLY_EDGES.keys())

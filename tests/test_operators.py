@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import csr_of_band
+from scipy.linalg import solve_banded
 
 from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
 from hyperadams.errors import DiscretizationError, DomainError
+from hyperadams.inequalities import beta0
+from hyperadams.mesh import Mesh1D
 from hyperadams.operators import (
+    GJMSOperator,
     euclidean_gradk_energy,
     euclidean_laplacian_radial,
     gjms_assemble,
@@ -166,6 +170,81 @@ class TestGJMSAssembly:
             q = P.quadratic_form(u)
             scale = sobolev_energy(RadialFunction(geo_grid, u), dims2)
             assert q >= -1e-12 * max(scale, 1.0)
+
+
+def axis_green_offset(grid, k, metric="euclidean"):
+    """beta_0 G_h(0,0) - log h^{-2k}, h the axis element's width.
+
+    G_h(0,0) = e_0^T H^{-1} e_0 with H = omega M P_k restricted to the first
+    n - 1 nodes (Dirichlet at the last) is the largest u(0)^2 on the discrete
+    unit energy ball; in the continuum beta_0 G(0, x) = log |x|^{-2k} + O(1).
+    P_k is the flat chain (-Delta)^k for the euclidean metric and the GJMS
+    product for the hyperbolic one.  The band solve is exact enough at k <= 2.
+    """
+    dims = DimensionParams(k)
+    stiffness_weight, mass_weight = grid.laplacian_coefficients(metric, dims)
+    K = grid.mesh.stiffness(stiffness_weight(grid.mesh.nodes))
+    M = grid.mesh.lumped_mass(mass_weight)
+    shifts = gjms_shifts(k) if metric == "hyperbolic" else (0,) * k
+    H = GJMSOperator(K, M, shifts, dims).restrict(grid.n_nodes - 1).energy_band()
+    e0 = np.zeros(H.shape[1])
+    e0[0] = 1.0
+    bw = H.shape[0] // 2
+    G = solve_banded((bw, bw), H, e0)[0]
+    h = grid.mesh.edges[1] - grid.mesh.edges[0]
+    return beta0(k, 2 * k) * G + 2 * k * math.log(h)
+
+
+class TestAxisGreenOffset:
+    """At k = 1 the discrete unit energy ball's largest axis value grows like
+    the continuum's log h^{-2k}, up to an offset that the axis element alone
+    sets: it does not move under refinement, and it steps with the degree by
+    about the 4k log(p2/p1) of a nodal spike of width h/p^2.  (At k = 2 and 3
+    the offset is hundreds to billions; no bound is set there.)"""
+
+    DEGREES = (2, 4, 6, 8)
+
+    def test_flat_k1_offset_constant_under_refinement(self):
+        for p in self.DEGREES:
+            offsets = [
+                axis_green_offset(RadialGrid.euclidean_ball(1.0, n, p, 1.5), 1)
+                for n in (12, 24, 48, 96)
+            ]
+            assert max(offsets) - min(offsets) < 1e-3, (p, offsets)
+
+    def test_flat_k1_degree_steps(self):
+        offsets = [
+            axis_green_offset(RadialGrid.euclidean_ball(1.0, 24, p, 1.5), 1)
+            for p in self.DEGREES
+        ]
+        assert offsets == pytest.approx([5.987, 8.333, 9.800, 10.871], abs=1e-3)
+        for i in range(len(self.DEGREES) - 1):
+            step = offsets[i + 1] - offsets[i]
+            spike = 4 * math.log(self.DEGREES[i + 1] / self.DEGREES[i])
+            assert abs(step - spike) < 0.25 * spike, (self.DEGREES[i], step)
+
+    def test_geodesic_k1_offset_constant_from_24_elements(self):
+        offsets = [
+            axis_green_offset(RadialGrid.geodesic(12.0, n, 4, 1.5), 1, "hyperbolic")
+            for n in (12, 24, 48, 96)
+        ]
+        assert offsets[0] == pytest.approx(9.7161, abs=1e-4)
+        assert max(offsets[1:]) - min(offsets[1:]) < 1e-3
+        assert offsets[1:] == pytest.approx([9.7193] * 3, abs=3e-4)
+
+    def test_axis_mass_is_the_lever(self, monkeypatch):
+        # omega K holds no M, so doubling the axis entry of M leaves the k = 1
+        # offset bitwise unchanged; at k = 2 the chain K M^{-1} K reads it
+        def grid():
+            return RadialGrid.euclidean_ball(1.0, 24, 4, 1.5)
+
+        before = [axis_green_offset(grid(), k) for k in (1, 2)]
+        axis_mass = Mesh1D._axis_mass
+        monkeypatch.setattr(Mesh1D, "_axis_mass", lambda mesh, w: 2.0 * axis_mass(mesh, w))
+        after = [axis_green_offset(grid(), k) for k in (1, 2)]
+        assert after[0] == before[0]
+        assert before[1] == pytest.approx(97.76, abs=0.01)
+        assert after[1] == pytest.approx(168.24, abs=0.01)
 
 
 class TestHighPrecisionCrossValidation:
