@@ -4,8 +4,8 @@ Radial machinery lives on 1D grids in either the geodesic radius r (primary
 coordinate for hyperbolic work; the volume weight sinh^{N-1} r is smooth
 there) or the Euclidean radius s = tanh(r/2) (used for flat-measure energies
 and for profiles defined on Euclidean balls, where s may exceed 1).  Both
-flavors share the same spectral-element mesh; chain-rule factors convert
-stiffness/mass coefficients between the two coordinates analytically.
+flavors share the same spectral-element mesh; a grid's coordinate decides
+its metric, hyperbolic on a geodesic grid and flat on a Euclidean one.
 
 Full-dimensional (non-radial) operations are provided for N = 2 only, on a
 tensor Gauss-Legendre x Fourier grid over the disk.
@@ -87,10 +87,10 @@ class RadialGrid:
 
     Nodes include the axis point (node 0 at radius 0); quadrature weights
     ``quad_weights`` integrate plain ``dr`` (or ``ds``) and are positive.
-    Instances are immutable and all arrays are read-only, except
-    ``operator_cache``: the Laplacian (K, M) pairs assembled on this grid,
-    keyed by (metric, N) and filled by ``hyperadams.operators``.  The
-    hyperbolic density of each dimension is formed once and kept.
+    The coordinate picks the metric: sinh^{N-1} r and dv_g on a geodesic
+    grid, s^{N-1} and dx on a Euclidean-radius grid.  Instances are immutable
+    and all arrays are read-only; private per-N caches keep the density and
+    the Laplacian pair (K, M) of each dimension once formed.
     """
 
     def __init__(self, mesh: Mesh1D, coordinate: str = GEODESIC):
@@ -99,8 +99,8 @@ class RadialGrid:
         self.mesh = mesh
         self.coordinate = coordinate
         self.R_max = float(mesh.edges[-1])
-        self.operator_cache: dict = {}
         self._densities: dict = {}
+        self._laplacians: dict = {}
         if coordinate == GEODESIC:
             self._r = mesh.nodes
             s, oms = geodesic_to_euclidean(mesh.nodes, complement=True)
@@ -195,61 +195,50 @@ class RadialGrid:
 
     # -- measures and operator weights -------------------------------------
 
-    def _mass_weight(self, metric: str, N: int, scale: float = 1.0):
-        """``scale`` times the metric's radial volume weight in its own radius,
-        as a function: sinh^{N-1} r on a geodesic grid or s^{N-1} (flat).  A
-        sinh weight that overflows, scale included, would make every
-        integral NaN and raises."""
-        if metric == "hyperbolic":
-            if self.coordinate != GEODESIC:
-                raise DomainError("the hyperbolic metric requires a geodesic grid")
-
-            def sinh_power(r):
-                with np.errstate(over="ignore"):  # reported below
-                    w = scale * np.sinh(r) ** (N - 1)
-                if not np.all(np.isfinite(w)):
-                    raise DiscretizationError(
-                        "hyperbolic volume weight sinh^(N-1) r overflows below "
-                        f"r_max = {self.R_max:g}; lower r_max"
-                    )
-                return w
-
-            return sinh_power
-        if metric == "euclidean":
+    def _mass_weight(self, N: int, scale: float = 1.0):
+        """``scale`` times the grid's radial volume weight in its own radius,
+        as a function: sinh^{N-1} r on a geodesic grid, s^{N-1} on a
+        Euclidean-radius grid.  A sinh weight that overflows, scale included,
+        would make every integral NaN and raises."""
+        if self.coordinate == EUCLIDEAN:
             return lambda s: scale * s ** (N - 1)
-        raise ValueError(f"unknown metric {metric!r}")
 
-    def hyperbolic_density(self, dims: DimensionParams) -> np.ndarray:
-        """Per-node density so that sum(quad_weights * density * f) = int f dv_g
-        on a geodesic grid (read-only; formed on the first call for each
-        dimension)."""
+        def sinh_power(r):
+            with np.errstate(over="ignore"):  # reported below
+                w = scale * np.sinh(r) ** (N - 1)
+            if not np.all(np.isfinite(w)):
+                raise DiscretizationError(
+                    "hyperbolic volume weight sinh^(N-1) r overflows below "
+                    f"r_max = {self.R_max:g}; lower r_max"
+                )
+            return w
+
+        return sinh_power
+
+    def density(self, dims: DimensionParams) -> np.ndarray:
+        """Per-node density with sum(quad_weights * density * f) = int f in the
+        grid's measure, dv_g or dx (read-only; formed once per dimension)."""
         if dims.N not in self._densities:
-            density = self._mass_weight("hyperbolic", dims.N, dims.omega_Nm1)(self._r)
+            density = self._mass_weight(dims.N, dims.omega_Nm1)(self.mesh.nodes)
             density.flags.writeable = False
             self._densities[dims.N] = density
         return self._densities[dims.N]
 
-    def euclidean_density(self, dims: DimensionParams) -> np.ndarray:
-        """Per-node density for the flat measure int_{B} f dx (radial form)
-        on a Euclidean-radius grid."""
-        if self.coordinate != EUCLIDEAN:
-            raise DomainError("the flat measure requires a Euclidean-radius grid")
-        return self._mass_weight("euclidean", dims.N, dims.omega_Nm1)(self._s)
+    def laplacian_coefficients(self, dims: DimensionParams):
+        """The grid's volume weight as a function of its primary coordinate:
+        the stiffness and the mass weight of its radial Laplace operator."""
+        return self._mass_weight(dims.N)
 
-    def laplacian_coefficients(self, metric: str, dims: DimensionParams):
-        """(stiffness weight, mass weight) of the metric's radial Laplace
-        operator as functions of the primary coordinate: the metric's volume
-        weight twice in its own radius; on a geodesic grid the flat pair
-        s^{N-1} dr/ds, s^{N-1} ds/dr, through the stable complement 1 - s."""
-        weight = self._mass_weight(metric, dims.N)
-        if metric == "hyperbolic" or self.coordinate == EUCLIDEAN:
-            return weight, weight
-
-        def flat(r, jacobian):  # dr/ds = 2/x and ds/dr = x/2 of x = 1 - s^2
-            s, one_minus_s = geodesic_to_euclidean(r, complement=True)
-            return weight(s) * jacobian(one_minus_s * (1.0 + s))
-
-        return (lambda r: flat(r, lambda x: 2.0 / x)), (lambda r: flat(r, lambda x: 0.5 * x))
+    def laplacian(self, dims: DimensionParams):
+        """(K, M) of the grid's weighted radial Laplacian, K in band storage and
+        M the read-only lumped mass (formed once per dimension)."""
+        if dims.N not in self._laplacians:
+            weight = self.laplacian_coefficients(dims)
+            K = self.mesh.stiffness(weight(self.mesh.nodes))
+            M = self.mesh.lumped_mass(weight)
+            M.flags.writeable = False
+            self._laplacians[dims.N] = (K, M)
+        return self._laplacians[dims.N]
 
     def __repr__(self):
         return (
@@ -299,21 +288,17 @@ class RadialFunction:
         return RadialFunction(self.grid, c * self.values)
 
 
-def integrate_radial(f: RadialFunction, dims: DimensionParams, measure: str = "hyperbolic"):
-    """Quadrature of ``int f dv_g`` (or the flat-measure variant); an array
-    of one integral per profile for a family."""
-    if measure == "hyperbolic":
-        density = f.grid.hyperbolic_density(dims)
-    elif measure == "euclidean":
-        density = f.grid.euclidean_density(dims)
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-    return f.grid.mesh.integrate(f.values * density)
+def integrate_radial(f: RadialFunction, dims: DimensionParams):
+    """Quadrature of int f in the grid's measure: dv_g on a geodesic grid, dx
+    on a Euclidean-radius grid; an array of one integral per profile for a
+    family."""
+    return f.grid.mesh.integrate(f.values * f.grid.density(dims))
 
 
 def tail_fraction(f: RadialFunction, dims: DimensionParams) -> float:
-    """|last element's share| of int |f| dv_g; > 1e-12 suggests truncation."""
-    integrand = np.abs(f.values) * f.grid.hyperbolic_density(dims)
+    """|last element's share| of int |f| in the grid's measure (dv_g or dx);
+    > 1e-12 suggests truncation."""
+    integrand = np.abs(f.values) * f.grid.density(dims)
     total = f.grid.mesh.integrate(integrand)
     if total == 0.0:
         return 0.0

@@ -301,7 +301,7 @@ def blowup_experiment(
         core_u = profile.u_tilde(
             core.euclidean_nodes, one_minus_s=core.one_minus_s
         ) / math.sqrt(energy)
-        core_dv = core.quad_weights * core.hyperbolic_density(dims)
+        core_dv = core.quad_weights * core.density(dims)
         for beta in beta_list:
             value = adams_functional(u_norm, float(beta), dims)
             records.append(
@@ -349,10 +349,11 @@ def blowup_slopes(records: list[BlowupRecord]) -> dict:
 
 
 def lp_norm_hyperbolic(u: RadialFunction, p: float, dims: DimensionParams) -> float:
-    """(int |u|^p dv_g)^{1/p}, evaluated in log space against underflow."""
+    """(int |u|^p dv_g)^{1/p} on a geodesic grid, in log space against underflow."""
+    if u.grid.coordinate != GEODESIC:
+        raise DomainError("the hyperbolic metric requires a geodesic grid")
     vals = np.abs(u.values)
-    density = u.grid.hyperbolic_density(dims)
-    w = u.grid.quad_weights * density
+    w = u.grid.quad_weights * u.grid.density(dims)
     pos = vals > 0
     if not np.any(pos):
         return 0.0

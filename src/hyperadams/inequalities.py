@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 
 from .ball import (
+    EUCLIDEAN,
     DimensionParams,
     RadialFunction,
     integrate_radial,
@@ -92,7 +93,8 @@ def liu_constant(k: int, N: int) -> float:
 
 
 def adams_functional(u: RadialFunction, beta: float, dims: DimensionParams) -> float:
-    """int (e^{beta u^2} - 1) dv_g, overflow-safe.
+    """int (e^{beta u^2} - 1) in the grid's measure (dv_g on a geodesic grid,
+    dx on a Euclidean-radius grid), overflow-safe.
 
     Exponents beyond the double range return +inf (the blow-up experiments
     drive this regime on purpose).  A warning is raised when the last
@@ -147,13 +149,13 @@ def owen_margins(profiles: RadialFunction, k: int) -> np.ndarray:
 
     Returns int|grad^k u|^2 dx - A(k) int u^2/(1-s)^{2k} dx for each profile
     of a family (a (P, n) block, or one profile) compactly supported inside
-    the ball; the weight integral is refused if any member's support reaches
-    the boundary.
+    the ball, on a Euclidean-radius grid; the weight integral is refused if
+    any member's support reaches the boundary.
     """
     grid, values = profiles.grid, np.atleast_2d(profiles.values)
     s = grid.euclidean_nodes
-    if np.max(s) > 1.0 + 1e-12:
-        raise DomainError("Owen margin is for profiles on the unit ball")
+    if grid.coordinate != EUCLIDEAN or np.max(s) > 1.0 + 1e-12:
+        raise DomainError("Owen margin is for a Euclidean-radius grid of the unit ball")
     dims = DimensionParams(k)
     vmax = np.max(np.abs(values), axis=1)
     near_boundary = np.abs(values[:, s > 1.0 - 1e-9]) > 1e-12 * vmax[:, None]
@@ -163,12 +165,12 @@ def owen_margins(profiles: RadialFunction, k: int) -> np.ndarray:
             "is potentially divergent"
         )
     warn_if_truncated(values)
-    lhs = gradient_energies(values, grid, dims, k, "euclidean")[:, k]
+    lhs = gradient_energies(values, grid, dims, k)[:, k]
     weight = np.zeros_like(s)
     interior = s < 1.0
     weight[interior] = (1.0 - s[interior]) ** (-2 * k)
     weighted = RadialFunction(grid, values**2 * weight)
-    w_int = integrate_radial(weighted, dims, measure="euclidean")
+    w_int = integrate_radial(weighted, dims)
     return lhs - owen_constant(k) * w_int
 
 

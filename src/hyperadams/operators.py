@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ball import GEODESIC, DimensionParams, RadialFunction, RadialGrid
+from .ball import EUCLIDEAN, GEODESIC, DimensionParams, RadialFunction, RadialGrid
 from .errors import DiscretizationError, DomainError
-from .mesh import band_apply, column_dots
+from .mesh import Mesh1D, band_apply, column_dots
 
 ENERGY_CLAMP_REL = 1e-12
 SCHEME_ORDER = 4  # conservative documented order for energy functionals
@@ -36,18 +36,6 @@ SCHEME_ORDER = 4  # conservative documented order for energy functionals
 
 def _values(u) -> np.ndarray:
     return u.values if isinstance(u, RadialFunction) else np.asarray(u, dtype=float)
-
-
-def _laplacian_parts(dims: DimensionParams, grid: RadialGrid, metric: str):
-    """Cached (K, M) for the weighted radial Laplacian of the given metric."""
-    key = (metric, dims.N)
-    if key not in grid.operator_cache:
-        stiffness_weight, mass_weight = grid.laplacian_coefficients(metric, dims)
-        K = grid.mesh.stiffness(stiffness_weight(grid.mesh.nodes))
-        M = grid.mesh.lumped_mass(mass_weight)
-        M.flags.writeable = False
-        grid.operator_cache[key] = (K, M)
-    return grid.operator_cache[key]
 
 
 @dataclass
@@ -126,24 +114,29 @@ class GJMSOperator:
         return GJMSOperator(band, self.mass[:n], self.shifts, self.dims)
 
 
-def _laplacian_csr(dims: DimensionParams, grid: RadialGrid, metric: str):
+def _laplacian_csr(dims: DimensionParams, grid: RadialGrid):
     """-M^{-1} K as CSR; band column i is its row i, so the band as DIA is its transpose."""
     import scipy.sparse as sp
 
-    K, M = _laplacian_parts(dims, grid, metric)
+    K, M = grid.laplacian(dims)
     offsets = np.arange(K.shape[0]) - K.shape[0] // 2
     return sp.dia_matrix((-(1.0 / M) * K[::-1], offsets), shape=(M.size, M.size)).T.tocsr()
 
 
 def euclidean_laplacian_radial(dims: DimensionParams, grid: RadialGrid):
-    """Radial flat Laplacian Delta f = f'' + (N-1)/s f' as a CSR matrix."""
-    return _laplacian_csr(dims, grid, "euclidean")
+    """Radial flat Laplacian Delta f = f'' + (N-1)/s f' as a CSR matrix, on
+    a Euclidean-radius grid."""
+    if grid.coordinate != EUCLIDEAN:
+        raise DomainError("the flat metric requires a Euclidean-radius grid")
+    return _laplacian_csr(dims, grid)
 
 
 def hyperbolic_laplacian_radial(dims: DimensionParams, grid: RadialGrid):
     """Radial Laplace-Beltrami Delta_g f = f'' + (N-1) coth(r) f' as a CSR
-    matrix."""
-    return _laplacian_csr(dims, grid, "hyperbolic")
+    matrix, on a geodesic grid."""
+    if grid.coordinate != GEODESIC:
+        raise DomainError("the hyperbolic metric requires a geodesic grid")
+    return _laplacian_csr(dims, grid)
 
 
 def hyperbolic_laplacian_coordinate_form(dims: DimensionParams, grid: RadialGrid):
@@ -189,7 +182,9 @@ def gjms_assemble(dims: DimensionParams, grid: RadialGrid) -> GJMSOperator:
     """
     if dims.N != 2 * dims.k:
         raise DomainError("critical GJMS assembly requires N = 2k")
-    K, M = _laplacian_parts(dims, grid, "hyperbolic")
+    if grid.coordinate != GEODESIC:
+        raise DomainError("the hyperbolic metric requires a geodesic grid")
+    K, M = grid.laplacian(dims)
     return GJMSOperator(K, M, gjms_shifts(dims.k), dims)
 
 
@@ -230,17 +225,16 @@ def warn_if_truncated(values) -> None:
         )
 
 
-def gradient_energies(values, grid: RadialGrid, dims: DimensionParams, m: int,
-                      metric: str = "hyperbolic") -> np.ndarray:
+def gradient_energies(values, grid: RadialGrid, dims: DimensionParams, m: int) -> np.ndarray:
     """omega int |grad^j v|^2 for j = 0..m from the radial pair (K, M) of the
-    metric, for one profile (n,) -> (m+1,) or each row of a (P, n) block ->
-    (P, m+1).
+    grid's metric, for one profile (n,) -> (m+1,) or each row of a (P, n)
+    block -> (P, m+1).
 
     One chain z_{i+1} = M^{-1} K z_i serves every order: order 2i is
     ||z_i||_M^2 and order 2i+1 the K-form of z_i, whose product K z_i the
     chain reuses for its next step.
     """
-    K, M = _laplacian_parts(dims, grid, metric)
+    K, M = grid.laplacian(dims)
     z = np.asarray(values, dtype=float)
     energies = []
     for order in range(m + 1):
@@ -254,13 +248,15 @@ def gradient_energies(values, grid: RadialGrid, dims: DimensionParams, m: int,
 
 
 def euclidean_gradk_energy(v: RadialFunction, dims: DimensionParams) -> float:
-    """Flat k-th order energy int |grad^k v|^2 dx for a radial profile.
+    """Flat k-th order energy int |grad^k v|^2 dx of a profile on a Euclidean-radius grid.
 
     grad^k is Delta^{k/2} for even k and grad Delta^{(k-1)/2} for odd k;
     both routes reduce to mass/stiffness forms of the flat radial Laplacian.
     """
+    if v.grid.coordinate != EUCLIDEAN:
+        raise DomainError("the flat metric requires a Euclidean-radius grid")
     warn_if_truncated(v.values)
-    return float(gradient_energies(v.values, v.grid, dims, dims.k, "euclidean")[-1])
+    return float(gradient_energies(v.values, v.grid, dims, dims.k)[-1])
 
 
 def iterated_gradient_energy(u: RadialFunction, dims: DimensionParams, m: int) -> float:
@@ -282,8 +278,10 @@ def gjms_energy(
 
     In the critical dimension the GJMS form equals the flat k-th order
     energy of the same profile; the two entries of the report are computed
-    by independent routes (hyperbolic quadratic form vs flat-coordinate
-    mass/stiffness forms) so their agreement is a real check.
+    by independent routes (the hyperbolic quadratic form on the profile's
+    geodesic grid vs the flat mass/stiffness forms on the Euclidean-radius
+    grid of the same elements, edges tanh(r/2) and the same degree, where
+    the profile is interpolated) so their agreement is a real check.
     """
     if operator is None:
         operator = gjms_assemble(dims, u.grid)
@@ -291,7 +289,9 @@ def gjms_energy(
     raw = operator.quadratic_form(u)
     scale = sobolev_energy(u, dims)
     gjms = _clamped(raw, scale, "gjms quadratic form", notes)
-    flat = euclidean_gradk_energy(u, dims)
+    flat_grid = RadialGrid(Mesh1D(np.tanh(u.grid.mesh.edges / 2.0), u.grid.degree), EUCLIDEAN)
+    flat_u = RadialFunction(flat_grid, u.eval(flat_grid.geodesic_nodes))
+    flat = euclidean_gradk_energy(flat_u, dims)
     return EnergyReport(
         gjms_energy=gjms,
         euclidean_energy=flat,

@@ -51,21 +51,26 @@ def radial_family(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Named radial data families for Q1/Q2: gaussian (amplitude, width), bump
     (amplitude, radius) and rational-decay (amplitude, power)."""
+    if name == "rational-decay":
+        return lambda r: amplitude * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-power)
     if name == "gaussian":
         if width <= 0:
             raise DomainError("gaussian width must be positive")
-        return lambda r: amplitude * np.exp(-((np.asarray(r) / width) ** 2))
-    if name == "bump":
+        scale, shape = width, lambda x2: np.exp(-x2)
+    elif name == "bump":
         if radius <= 0:
             raise DomainError("bump radius must be positive")
-        return lambda r: amplitude * np.clip(
-            1.0 - (np.asarray(r, dtype=float) / radius) ** 2, 0.0, None
-        ) ** 3
-    if name == "rational-decay":
-        return lambda r: amplitude * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-power)
-    raise DomainError(
-        f"unknown radial family {name!r}; choose from ['bump', 'gaussian', 'rational-decay']"
-    )
+        scale, shape = radius, lambda x2: np.clip(1.0 - x2, 0.0, None) ** 3
+    else:
+        raise DomainError(
+            f"unknown radial family {name!r}; choose from ['bump', 'gaussian', 'rational-decay']"
+        )
+
+    def family(r):  # (r/scale)^2 = inf gives the exact limit: e^-inf = 0, 1 - inf clips to 0
+        with np.errstate(over="ignore"):
+            return amplitude * shape((np.asarray(r, dtype=float) / scale) ** 2)
+
+    return family
 
 
 def _rational_decay_term(spec: tuple[str, dict]) -> tuple | None:

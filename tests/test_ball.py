@@ -55,19 +55,19 @@ class TestRadiusConvert:
 
 class TestVolumeWeight:
     def test_zero_at_origin(self, geo_grid, dims2):
-        assert geo_grid.hyperbolic_density(dims2)[0] == 0.0
+        assert geo_grid.density(dims2)[0] == 0.0
 
     def test_n2_closed_form(self, geo_grid, dims1):
         r = geo_grid.geodesic_nodes
         assert np.allclose(
-            geo_grid.hyperbolic_density(dims1), 2 * np.pi * np.sinh(r), rtol=1e-14
+            geo_grid.density(dims1), 2 * np.pi * np.sinh(r), rtol=1e-14
         )
 
     def test_coordinate_consistency_all_nodes(self, dims1, dims2, dims3):
         # geodesic form vs Euclidean-coordinate form, stable complements
         grid = RadialGrid.geodesic(r_max=25.0, n_elements=24, degree=6, grading=2.0)
         for dims in (dims1, dims2, dims3):
-            a = grid.hyperbolic_density(dims)
+            a = grid.density(dims)
             # s^{N-1} (2/(1-s^2))^N ds/dr
             s, oms = grid.euclidean_nodes, grid.one_minus_s
             one_minus_s2 = oms * (1.0 + s)
@@ -86,10 +86,9 @@ class TestVolumeWeight:
             warnings.simplefilter("always")
             with pytest.raises(DiscretizationError, match="r_max = 300"):
                 if metric_form == "density":
-                    grid.hyperbolic_density(dims2)
+                    grid.density(dims2)
                 else:
-                    _, mass_weight = grid.laplacian_coefficients("hyperbolic", dims2)
-                    mass_weight(grid.geodesic_nodes)
+                    grid.laplacian_coefficients(dims2)(grid.geodesic_nodes)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_density_overflow_counts_the_sphere_measure(self, dims2):
@@ -98,19 +97,9 @@ class TestVolumeWeight:
         # weight, which carries no omega, stays finite
         grid = RadialGrid.geodesic(r_max=236.8, n_elements=24, degree=6, grading=1.0)
         with pytest.raises(DiscretizationError, match="r_max = 236.8"):
-            grid.hyperbolic_density(dims2)
-        _, mass_weight = grid.laplacian_coefficients("hyperbolic", dims2)
+            grid.density(dims2)
+        mass_weight = grid.laplacian_coefficients(dims2)
         assert np.all(np.isfinite(mass_weight(grid.geodesic_nodes)))
-
-    @pytest.mark.parametrize("metric_form", ["density", "laplacian"])
-    def test_hyperbolic_measure_needs_a_geodesic_grid(self, dims2, metric_form):
-        grid = RadialGrid.euclidean_ball(s_max=0.9, n_elements=4, degree=4)
-        assert grid.one_minus_s is None
-        with pytest.raises(DomainError, match="geodesic grid"):
-            if metric_form == "density":
-                grid.hyperbolic_density(dims2)
-            else:
-                grid.laplacian_coefficients("hyperbolic", dims2)
 
     def test_ball_volume_h2(self, dims1):
         grid = RadialGrid.geodesic(r_max=1.0, n_elements=4, degree=6, grading=1.0)
@@ -141,18 +130,16 @@ class TestIntegrateRadial:
     def test_euclidean_variant_flat_volume(self, dims1):
         # int_{B} 1 dx over the Euclidean image of a geodesic ball: the flat
         # density through ds/dr = (1 - s^2)/2 on the geodesic nodes, and the
-        # flat measure of the Euclidean-radius grid of the same ball
+        # measure of the Euclidean-radius grid of the same ball
         exact = math.pi * math.tanh(1.0) ** 2
         grid = RadialGrid.geodesic(r_max=2.0, n_elements=5, degree=6, grading=1.0)
         s = grid.euclidean_nodes
         ds_dr = 0.5 * grid.one_minus_s * (1.0 + s)
         got = grid.mesh.integrate(dims1.omega_Nm1 * s ** (dims1.N - 1) * ds_dr)
         assert abs(got - exact) / exact < 1e-12
-        one = RadialFunction(grid, np.ones(grid.n_nodes))
-        with pytest.raises(DomainError, match="Euclidean-radius grid"):
-            integrate_radial(one, dims1, measure="euclidean")
         flat = RadialGrid.euclidean_ball(s_max=math.tanh(1.0), n_elements=5, degree=6)
-        got = integrate_radial(RadialFunction(flat, np.ones(flat.n_nodes)), dims1, "euclidean")
+        assert flat.one_minus_s is None
+        got = integrate_radial(RadialFunction(flat, np.ones(flat.n_nodes)), dims1)
         assert abs(got - exact) / exact < 1e-12
 
     def test_gaussian_self_convergence_order(self, dims2):
@@ -168,8 +155,9 @@ class TestIntegrateRadial:
     @pytest.mark.parametrize("measure", ["hyperbolic", "euclidean"])
     @pytest.mark.parametrize("r_max", [None, 2.0])
     def test_family_is_bitwise_per_profile(self, dims2, rng, measure, r_max):
-        # r_max None: the full grid; 2.0: the grid cut at its edge at 2.0; the
-        # flat measure lives on the Euclidean-radius grid of the same ball
+        # r_max None: the full grid; 2.0: the grid cut at its edge at 2.0; each
+        # measure is that of its grid, the flat one on the Euclidean-radius
+        # grid of the same ball
         n_elements = 10 if r_max is None else 5
         if measure == "hyperbolic":
             grid = RadialGrid.geodesic(
@@ -180,19 +168,15 @@ class TestIntegrateRadial:
                 s_max=math.tanh((r_max or 4.0) / 2), n_elements=n_elements, degree=6
             )
         block = rng.standard_normal((7, grid.n_nodes))
-        got = integrate_radial(RadialFunction(grid, block), dims2, measure)
-        want = [integrate_radial(RadialFunction(grid, row), dims2, measure)
-                for row in block]
+        got = integrate_radial(RadialFunction(grid, block), dims2)
+        want = [integrate_radial(RadialFunction(grid, row), dims2) for row in block]
         assert np.array_equal(got, want)
 
-    def test_family_checks_shape_and_measure(self, geo_grid, dims1):
+    def test_family_checks_shape_and_measure(self, geo_grid):
         with pytest.raises(ValueError, match="samples"):
             RadialFunction(geo_grid, np.zeros((2, 3, geo_grid.n_nodes)))
         with pytest.raises(ValueError, match="samples"):
             RadialFunction(geo_grid, np.zeros((2, geo_grid.n_nodes + 1)))
-        family = RadialFunction(geo_grid, np.ones((2, geo_grid.n_nodes)))
-        with pytest.raises(ValueError, match="unknown measure"):
-            integrate_radial(family, dims1, measure="flat")
 
 
 def _translate_with_axis_sum(b, x):

@@ -421,14 +421,20 @@ class TestCLI:
             "experiment = solve-pde\nk = 1\nq2_family = bump\nq2_radius = 40\n",
             "experiment = solve-pde\nk = 1\nq1_width = 30\n",
             "experiment = solve-pde\nk = 1\nr_max = 700\n",
+            "experiment = solve-pde\nk = 1\nq1_width = 1e-300\n",
+            "experiment = solve-pde\nk = 1\nq1_family = bump\nq1_radius = 1e-300\n",
         ],
-        ids=["bump-radius-40", "gaussian-width-30", "r_max-700"],
+        ids=["bump-radius-40", "gaussian-width-30", "r_max-700", "gaussian-width-1e-300",
+             "bump-radius-1e-300"],
     )
     def test_l2_data_on_any_finite_grid_exit_0(self, tmp_path, text):
         # gaussian and bump data are in L^2(dv_g) at any width or radius, and
-        # at k = 1 the grid weight is finite up to r = 708.6
+        # at k = 1 the grid weight is finite up to r = 708.6; a width or radius
+        # of 1e-300 squares r/width to inf off the axis, which is no warning
         cfg = write(tmp_path, "pde.cfg", text)
-        assert main(["run", cfg, "--out", str(tmp_path)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", cfg, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "solve-pde.csv").exists()
 
     def test_constants_at_largest_k_max_has_finite_cells(self, tmp_path):

@@ -6,9 +6,11 @@ import scipy.sparse as sp
 from conftest import csr_of_band
 from scipy.linalg import solve_banded
 
-from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
+from hyperadams.ball import GEODESIC, DimensionParams, RadialFunction, RadialGrid
 from hyperadams.errors import DiscretizationError, DomainError
-from hyperadams.inequalities import beta0
+from hyperadams.experiments import BUMPS, flat_oracle_energy, flat_oracle_grid
+from hyperadams.extremals import lp_norm_hyperbolic
+from hyperadams.inequalities import beta0, owen_margins
 from hyperadams.mesh import Mesh1D
 from hyperadams.operators import (
     GJMSOperator,
@@ -172,20 +174,18 @@ class TestGJMSAssembly:
             assert q >= -1e-12 * max(scale, 1.0)
 
 
-def axis_green_offset(grid, k, metric="euclidean"):
+def axis_green_offset(grid, k):
     """beta_0 G_h(0,0) - log h^{-2k}, h the axis element's width.
 
     G_h(0,0) = e_0^T H^{-1} e_0 with H = omega M P_k restricted to the first
     n - 1 nodes (Dirichlet at the last) is the largest u(0)^2 on the discrete
     unit energy ball; in the continuum beta_0 G(0, x) = log |x|^{-2k} + O(1).
-    P_k is the flat chain (-Delta)^k for the euclidean metric and the GJMS
-    product for the hyperbolic one.  The band solve is exact enough at k <= 2.
+    P_k is the flat chain (-Delta)^k on a Euclidean-radius grid and the GJMS
+    product on a geodesic one.  The band solve is exact enough at k <= 2.
     """
     dims = DimensionParams(k)
-    stiffness_weight, mass_weight = grid.laplacian_coefficients(metric, dims)
-    K = grid.mesh.stiffness(stiffness_weight(grid.mesh.nodes))
-    M = grid.mesh.lumped_mass(mass_weight)
-    shifts = gjms_shifts(k) if metric == "hyperbolic" else (0,) * k
+    K, M = grid.laplacian(dims)
+    shifts = gjms_shifts(k) if grid.coordinate == GEODESIC else (0,) * k
     H = GJMSOperator(K, M, shifts, dims).restrict(grid.n_nodes - 1).energy_band()
     e0 = np.zeros(H.shape[1])
     e0[0] = 1.0
@@ -225,7 +225,7 @@ class TestAxisGreenOffset:
 
     def test_geodesic_k1_offset_constant_from_24_elements(self):
         offsets = [
-            axis_green_offset(RadialGrid.geodesic(12.0, n, 4, 1.5), 1, "hyperbolic")
+            axis_green_offset(RadialGrid.geodesic(12.0, n, 4, 1.5), 1)
             for n in (12, 24, 48, 96)
         ]
         assert offsets[0] == pytest.approx(9.7161, abs=1e-4)
@@ -255,7 +255,6 @@ class TestHighPrecisionCrossValidation:
         import math
 
         from hyperadams.ball import euclidean_to_geodesic
-        from hyperadams.experiments import BUMPS
 
         dims = DimensionParams(3)
         fn = BUMPS["gauss"]
@@ -457,10 +456,10 @@ class TestEnergies:
                     assert lhs <= energies[k] * (1 + 1e-8) + 1e-12
 
     def test_one_chain_gives_every_order(self, dims3, geo_grid, rng):
-        from hyperadams.operators import _laplacian_parts, gradient_energies
+        from hyperadams.operators import gradient_energies
 
         def one_order(vals, m):  # the per-order loop the chain replaced
-            band, M = _laplacian_parts(dims3, geo_grid, "hyperbolic")
+            band, M = geo_grid.laplacian(dims3)
             K = csr_of_band(band)
             z = vals
             for _ in range(m // 2):
@@ -495,3 +494,73 @@ class TestEnergies:
         u = RadialFunction.from_callable(geo_grid, lambda r: np.exp(-(r**2)))
         with pytest.raises(DiscretizationError):
             gjms_energy(u, dims1, operator=bad)
+
+
+@pytest.mark.parametrize(
+    "refused, call",
+    [
+        ("geodesic grid", lambda geo, flat, dims: gjms_assemble(dims, flat)),
+        ("geodesic grid", lambda geo, flat, dims: hyperbolic_laplacian_radial(dims, flat)),
+        ("geodesic grid", lambda geo, flat, dims: lp_norm_hyperbolic(
+            RadialFunction(flat, np.zeros(flat.n_nodes)), 4.0, dims)),
+        ("Euclidean-radius grid", lambda geo, flat, dims: euclidean_laplacian_radial(dims, geo)),
+        ("Euclidean-radius grid", lambda geo, flat, dims: euclidean_gradk_energy(
+            RadialFunction(geo, np.zeros(geo.n_nodes)), dims)),
+        ("Euclidean-radius grid", lambda geo, flat, dims: owen_margins(
+            RadialFunction(geo, np.zeros(geo.n_nodes)), dims.k)),
+    ],
+    ids=[
+        "gjms_assemble",
+        "hyperbolic_laplacian_radial",
+        "lp_norm_hyperbolic",
+        "euclidean_laplacian_radial",
+        "euclidean_gradk_energy",
+        "owen_margins",
+    ],
+)
+def test_metric_names_refuse_the_other_grid(dims2, refused, call):
+    # a grid's coordinate decides its metric, so a name that promises one
+    # metric refuses a grid of the other
+    geo = RadialGrid.geodesic(r_max=2.0, n_elements=4, degree=4)
+    flat = RadialGrid.euclidean_ball(s_max=0.9, n_elements=4, degree=4)
+    with pytest.raises(DomainError, match=refused):
+        call(geo, flat, dims2)
+
+
+# the exact flat energies omega int_0^{tanh 4.5} |grad^k v|^2 s^{N-1} ds of
+# the three BUMPS (gauss, gauss_poly, gauss_cos), r_max = 9, by symbolic
+# radial calculus at 40 digits
+EXACT_FLAT_ENERGIES = {
+    1: (3.7063980747176259, 2.505471015110779, 4.2872074013743695),
+    2: (88.088623388239063, 84.334641364980745, 147.95119130391573),
+    3: (3971.9082740350658, 5492.0935802734885, 18424.240638915553),
+}
+
+
+class TestExactReferences:
+    """The refinement studies' references against the exact flat energies.
+    Each bound is at most 3x the largest relative error measured over the
+    three bumps."""
+
+    @pytest.mark.parametrize("k, bound", [(1, 1e-12), (2, 1e-11), (3, 1e-8)])
+    def test_flat_oracle(self, k, bound):
+        # at k = 3 the 40-element degree-9 oracle sits at its floor,
+        # 3.0e-9, 9.6e-11 and 4.6e-9
+        grid = flat_oracle_grid(9.0)
+        for (name, fn), exact in zip(BUMPS.items(), EXACT_FLAT_ENERGIES[k]):
+            rel = abs(flat_oracle_energy(k, fn, grid) - exact) / exact
+            assert rel <= bound, (name, rel)
+
+    @pytest.mark.parametrize(
+        "k, gjms_bound, flat_bound", [(1, 5e-13, 5e-13), (2, 2e-9, 1e-9), (3, 5e-6, 1e-6)]
+    )
+    def test_gjms_energy_entries(self, k, gjms_bound, flat_bound):
+        # the grids of test_conformal_identity_smoke; the flat entry is taken
+        # on the Euclidean-radius grid of the same elements
+        dims = DimensionParams(k)
+        grid = RadialGrid.geodesic(r_max=9.0, n_elements=24 if k < 3 else 32,
+                                   degree=6, grading=2.5)
+        for (name, fn), exact in zip(BUMPS.items(), EXACT_FLAT_ENERGIES[k]):
+            rep = gjms_energy(RadialFunction.from_callable(grid, fn), dims)
+            assert abs(rep.gjms_energy - exact) / exact <= gjms_bound, name
+            assert abs(rep.euclidean_energy - exact) / exact <= flat_bound, name

@@ -189,6 +189,9 @@ class TestFamilies:
             ),
             # the config passes every key; a family reads only its own
             (radial_family("gaussian", radius=-1.0, power=5.0), np.exp(-(r**2))),
+            # (r/width)^2 overflows off the axis: the exact limit 0, no warning
+            (radial_family("gaussian", width=1e-300), np.where(r == 0.0, 1.0, 0.0)),
+            (radial_family("bump", radius=1e-300), np.where(r == 0.0, 1.0, 0.0)),
         ]
         for fn, want in cases:
             assert np.array_equal(fn(r), want)
