@@ -201,10 +201,7 @@ def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
     The grid must resolve the concentration scale: node spacing around the
     inner junction below 1/(4 sqrt(m)).
     """
-    if m < 2:
-        raise DomainError("concentration parameter m must be >= 2")
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    profile = MoserProfile(m, k)  # refuses m < 2 and k < 1
     if grid.coordinate != GEODESIC:
         raise DomainError("the Moser profile is sampled on a geodesic grid")
     nodes = grid.mesh.nodes
@@ -214,7 +211,6 @@ def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
             f"grid spacing near the origin does not resolve 1/sqrt(m) for m={m}"
         )
 
-    profile = MoserProfile(m, k)
     values = profile.u_tilde(grid.euclidean_nodes, one_minus_s=grid.one_minus_s)
     profile.samples = RadialFunction(grid, values)
     return profile

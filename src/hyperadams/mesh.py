@@ -3,7 +3,10 @@
 One mesh serves three jobs at once:
 
 * positive-weight quadrature of ``int c(t) f(t) dt`` (element-wise
-  Gauss-Lobatto rule, over the mesh or per element),
+  Gauss-Lobatto rule, over the mesh or per element), of one profile or of
+  each row of a (P, n) block: ``integrate``, ``element_integrals`` and
+  ``interpolate`` reduce only through ``row_dots``, so a block row gets the
+  bits of its single-profile call on every BLAS kernel,
 * weighted stiffness forms ``int c(t) f'(t) g'(t) dt`` assembled per element
   from the exact differentiation matrix of the local interpolant, giving a
   symmetric positive-semidefinite matrix in band storage (``band_apply``
@@ -39,7 +42,7 @@ __all__ = [
     "barycentric_weights",
     "differentiation_matrix",
     "Mesh1D",
-    "column_dots",
+    "row_dots",
     "band_apply",
     "graded_edges",
     "geometric_edges",
@@ -96,6 +99,19 @@ def differentiation_matrix(x: np.ndarray) -> np.ndarray:
     return D
 
 
+def row_dots(x, y):
+    """The dot of x and y along their last axis: a float for two vectors, one
+    value per row of a (P, n) block (a vector pairs with every row).
+
+    One einsum over C-contiguous rows (an F-ordered block would be summed in
+    another order), which numpy sums in a fixed order of its own with no BLAS
+    call: a block row gets bitwise its single-profile value, whatever the BLAS
+    kernel or the operands' alignment.
+    """
+    dots = np.einsum("...i,...i->...", np.ascontiguousarray(x), np.ascontiguousarray(y))
+    return float(dots) if dots.ndim == 0 else dots
+
+
 def interpolate(x_nodes: np.ndarray, values: np.ndarray, x_eval: np.ndarray) -> np.ndarray:
     """Barycentric evaluation of the interpolant through (x_nodes, values).
 
@@ -108,8 +124,7 @@ def interpolate(x_nodes: np.ndarray, values: np.ndarray, x_eval: np.ndarray) -> 
     diff = x_eval[:, None] - x_nodes
     hit = diff == 0.0
     q = barycentric_weights(x_nodes) / np.where(hit, 1.0, diff)
-    # one BLAS dot per point, the same reduction as np.dot(q, values)
-    num = np.matmul(q[:, None, :], values[..., None])[:, 0, 0]
+    num = row_dots(q, values)
     node_value = np.take_along_axis(
         np.broadcast_to(values, q.shape), hit.argmax(axis=1)[:, None], axis=1
     )[:, 0]
@@ -179,22 +194,6 @@ def geometric_edges(
     return np.array(edges)
 
 
-def column_dots(x, y):
-    """np.dot(x, y), or one dot per column of an (n, P) block y (x a vector
-    or a block of the same shape).
-
-    A block is one batched matmul of contiguous (1, n) rows of x by (n, 1)
-    columns of y, which numpy runs as one BLAS ddot(x, y) per column: the
-    reduction np.dot(x, y) makes for one profile, so a block gives bitwise
-    the values of its single-profile calls.  A strided dot, gemv or einsum
-    would reduce in another order.
-    """
-    if y.ndim == 1:
-        return float(np.dot(x, y))
-    xs = x[None, :] if x.ndim == 1 else np.ascontiguousarray(x.T)[:, None, :]
-    return np.matmul(xs, np.ascontiguousarray(y.T)[:, :, None])[:, 0, 0]
-
-
 def band_apply(band: np.ndarray, z: np.ndarray) -> np.ndarray:
     """K z for K in band storage ``band[p + j - i, i] = K[i, j]`` and one
     profile (n,) or each row of a (P, n) block.  Row i sums in column order
@@ -256,12 +255,12 @@ class Mesh1D:
 
     def integrate(self, values: np.ndarray):
         """Quadrature of nodal data; a (P, n) block gives one value per row
-        (see ``column_dots``)."""
-        return column_dots(self.quad_w, np.asarray(values, dtype=float).T)
+        (see ``row_dots``)."""
+        return row_dots(self.quad_w, np.asarray(values, dtype=float))
 
     def element_integrals(self, values: np.ndarray) -> np.ndarray:
         """Gauss-Lobatto integral of 1-D nodal data over each element."""
-        return self.jac * (values[self.elements] @ gauss_lobatto(self.p)[1])
+        return self.jac * row_dots(values[self.elements], gauss_lobatto(self.p)[1])
 
     def stiffness(self, coeff: np.ndarray) -> np.ndarray:
         """Assemble ``K[i,j] = int coeff(t) phi_i'(t) phi_j'(t) dt`` in band

@@ -28,7 +28,7 @@ import numpy as np
 
 from .ball import EUCLIDEAN, GEODESIC, DimensionParams, RadialFunction, RadialGrid
 from .errors import DiscretizationError, DomainError
-from .mesh import Mesh1D, band_apply, column_dots
+from .mesh import Mesh1D, band_apply, row_dots
 
 ENERGY_CLAMP_REL = 1e-12
 SCHEME_ORDER = 4  # conservative documented order for energy functionals
@@ -75,7 +75,7 @@ class GJMSOperator:
         b = k - 1 - a
         y = self.apply(uv, range(a))
         z = self.apply(wv, range(a + 1, a + 1 + b))
-        return self.dims.omega_Nm1 * column_dots(y.T, self._weighted_factor(a, z).T)
+        return self.dims.omega_Nm1 * row_dots(y, self._weighted_factor(a, z))
 
     def energy_band(self) -> np.ndarray:
         """omega M P_k = omega B_1 M^{-1} B_2 ... M^{-1} B_k in LAPACK general
@@ -239,12 +239,12 @@ def gradient_energies(values, grid: RadialGrid, dims: DimensionParams, m: int) -
     energies = []
     for order in range(m + 1):
         if order % 2 == 0:
-            energies.append(column_dots(M, (z * z).T))
+            energies.append(row_dots(M, z * z))
         else:
             Kz = band_apply(K, z)
-            energies.append(column_dots(z.T, Kz.T))
+            energies.append(row_dots(z, Kz))
             z = Kz / M
-    return dims.omega_Nm1 * np.array(energies).T
+    return dims.omega_Nm1 * np.stack(energies, axis=-1)
 
 
 def euclidean_gradk_energy(v: RadialFunction, dims: DimensionParams) -> float:

@@ -77,9 +77,10 @@ class TestProfileConstruction:
         with pytest.raises(ResolutionError):
             build_moser_profile(10**6, 1, coarse)
 
-    def test_m_domain(self):
+    @pytest.mark.parametrize("m, k", [(1, 1), (0, 1), (100, 0)])
+    def test_m_domain(self, m, k):
         with pytest.raises(DomainError):
-            build_moser_profile(1, 1, moser_hyperbolic_grid(100, 1))
+            build_moser_profile(m, k, moser_hyperbolic_grid(100, 1))
 
     @pytest.mark.parametrize("m", [1, 0])
     def test_profile_checks_its_domain(self, m):

@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,13 +14,13 @@ from hyperadams.mesh import (
     _axis_rule,
     _reference_derivative,
     band_apply,
-    column_dots,
     differentiation_matrix,
     gauss_legendre,
     gauss_lobatto,
     geometric_edges,
     graded_edges,
     interpolate,
+    row_dots,
 )
 
 
@@ -271,26 +276,62 @@ def test_band_apply_is_bitwise_csr_matvec(p, edges):
     assert band_apply(restricted, z[:m]).tobytes() == (K[:m, :m] @ z[:m]).tobytes()
 
 
-def loop_column_dots(x, y):
-    """One np.dot per column of y: the reference column_dots must match."""
-    rows = np.ascontiguousarray(y.T)
-    if x.ndim == 1:
-        return np.array([np.dot(x, row) for row in rows])
-    return np.array([np.dot(a, b) for a, b in zip(np.ascontiguousarray(x.T), rows)])
+def loop_row_dots(x, y):
+    """One single-vector call per row of y on contiguous copies: the reference
+    row_dots must match."""
+    pairs = zip(np.broadcast_to(x, y.shape), y)
+    return np.array([row_dots(np.ascontiguousarray(a), np.ascontiguousarray(b)) for a, b in pairs])
+
+
+def at_offset(a, doubles):
+    """A C-ordered copy of ``a`` that starts ``doubles`` doubles into a buffer."""
+    buf = np.empty(a.size + 8)
+    out = buf[doubles : doubles + a.size].reshape(a.shape)
+    out[...] = a
+    return out
 
 
 @pytest.mark.parametrize("P", [0, 1, 7, 358])
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("x_is_block", [False, True], ids=["vector-x", "block-x"])
-def test_column_dots_is_bitwise_a_dot_per_column(P, order, x_is_block):
+def test_row_dots_is_bitwise_a_dot_per_row(P, order, x_is_block):
     rng = np.random.default_rng(P)
     n = 277
-    y = np.asarray(rng.standard_normal((n, P)), order=order)
-    x = rng.standard_normal((n, P) if x_is_block else n)
-    got, want = column_dots(x, y), loop_column_dots(x, y)
+    y = np.asarray(rng.standard_normal((P, n)), order=order)
+    x = rng.standard_normal((P, n) if x_is_block else n)
+    got, want = row_dots(x, y), loop_row_dots(x, y)
     assert got.shape == want.shape == (P,) and got.dtype == want.dtype
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # each entry is also the bits of the call on contiguous copies of its column
-    for j in range(P):
-        xj = np.ascontiguousarray(x[:, j]) if x_is_block else x
-        assert got[j] == column_dots(xj, np.ascontiguousarray(y[:, j]))
+    # a dot product to roundoff of the exact sum of the products
+    products = x * y
+    exact = np.array([math.fsum(row) for row in products])
+    assert np.all(np.abs(got - exact) <= n * np.finfo(float).eps * np.abs(products).sum(axis=1))
+    # each row also keeps its bits wherever its operands start in memory
+    for j in range(min(P, 7)):
+        xj = x[j] if x_is_block else x
+        for doubles in range(8):
+            moved = row_dots(at_offset(xj, doubles), at_offset(y[j], 7 - doubles))
+            assert moved == got[j]
+
+
+# every test that pins a family row against its single-profile call bitwise
+BITWISE_PER_PROFILE = (
+    "family_is_bitwise_per_profile or block_is_bitwise_per_row"
+    " or row_dots_is_bitwise_a_dot_per_row or one_chain_gives_every_order"
+)
+
+
+def test_block_bits_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS falls back to its Prescott kernel on a CPU it does not know;
+    # there ddot's result depends on the operands' alignment.  The variable is
+    # read once per process, so the bitwise tests run again in a child that
+    # sets it (with another BLAS it does nothing and the tests still hold).
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    files = [f"tests/test_{name}.py" for name in ("ball", "inequalities", "mesh", "operators")]
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", BITWISE_PER_PROFILE, *files],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-2000:]

@@ -11,7 +11,7 @@ from hyperadams.errors import DiscretizationError, DomainError
 from hyperadams.experiments import BUMPS, flat_oracle_energy, flat_oracle_grid
 from hyperadams.extremals import lp_norm_hyperbolic
 from hyperadams.inequalities import beta0, owen_margins
-from hyperadams.mesh import Mesh1D
+from hyperadams.mesh import Mesh1D, row_dots
 from hyperadams.operators import (
     GJMSOperator,
     euclidean_gradk_energy,
@@ -465,8 +465,8 @@ class TestEnergies:
             for _ in range(m // 2):
                 z = (K @ z) / M
             if m % 2 == 0:
-                return dims3.omega_Nm1 * float(np.dot(M, z * z))
-            return dims3.omega_Nm1 * float(z @ (K @ z))
+                return dims3.omega_Nm1 * row_dots(M, z * z)
+            return dims3.omega_Nm1 * row_dots(z, K @ z)
 
         r = geo_grid.geodesic_nodes
         block = np.array([np.exp(-c * r**2) for c in rng.uniform(0.5, 2.5, 5)])
