@@ -216,7 +216,7 @@ def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
     return profile
 
 
-def moser_energy(profile: MoserProfile, dims: DimensionParams, degree: int = 6) -> float:
+def moser_energy(profile: MoserProfile, degree: int = 6) -> float:
     """Squared critical energy of u~_m via the flat identity.
 
     In the critical dimension the GJMS form of u~_m equals the flat
@@ -224,11 +224,9 @@ def moser_energy(profile: MoserProfile, dims: DimensionParams, degree: int = 6) 
     invariance), so the computation happens on a flat radial grid graded
     self-similarly in 1/sqrt(m).
     """
-    if dims.k != profile.k:
-        raise DomainError("dimension parameters do not match the profile")
     grid = moser_energy_grid(profile.m, degree=degree)
     v = RadialFunction.from_callable(grid, profile.v)
-    return euclidean_gradk_energy(v, dims)
+    return euclidean_gradk_energy(v, DimensionParams(profile.k))
 
 
 def _normalized_profile(
@@ -240,7 +238,7 @@ def _normalized_profile(
     profile = build_moser_profile(m, k, hgrid)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            energy = moser_energy(profile, DimensionParams(k), degree=degree)
+            energy = moser_energy(profile, degree=degree)
     except DiscretizationError as exc:  # m sets the flat energy grid's first width
         raise DiscretizationError(
             f"axis mass correction came out non-positive at m = {m:.6g}, k = {k} (axis "

@@ -104,7 +104,7 @@ class GJMSOperator:
         band = self.energy_band()
         bw, n = band.shape[0] // 2, band.shape[1]
         mass_dv = np.pad(self.dims.omega_Nm1 * self.mass, bw, constant_values=1.0)
-        band /= mass_dv[np.arange(2 * bw + 1)[:, None] + np.arange(n)]  # row i
+        band /= np.lib.stride_tricks.sliding_window_view(mass_dv, n)  # row i
         return sp.dia_matrix((band, bw - np.arange(2 * bw + 1)), shape=(n, n)).tocsr()
 
     def restrict(self, n: int) -> "GJMSOperator":

@@ -12,10 +12,11 @@ Two regimes, matching the two existence results:
   minimizer shifted by -(1/2) log of that argument.
 
 Both regimes run one damped Newton driver with Armijo backtracking (a
-full step once the predicted decrease is below J's roundoff); each step
-solves the Hessian c H + diag, H = omega M P_k (plus a rank-one term in
-log mode), by one scaled LU of the band ``GJMSOperator.energy_band`` reads
-off the factors of P_k.  Minimization runs over radial grid functions
+full step once the predicted decrease is below J's roundoff).  Each regime
+gives its residual res and Hessian c H + diag(v) + w w^T, H = omega M P_k
+(w = None in convex mode); the driver forms the gradient c mass_dv res and
+solves each step by one scaled LU of the band ``GJMSOperator.energy_band``
+reads off the factors of P_k.  Minimization runs over radial grid functions
 vanishing at R_max (a conforming radial subspace); it is deterministic.
 """
 
@@ -184,26 +185,9 @@ class _Discretization:
             f"the Newton matrix {what} at r_max = {self.grid.R_max:g}; lower r_max"
         )
 
-    @cached_property
-    def row_scale_index(self) -> np.ndarray:
-        """(2 bw + 1, n) index of the row scale of each band entry into
-        1/d zero-padded by bw on both ends: entry (r, j) holds row
-        i = r + j - bw."""
-        bw = self.bandwidth
-        return np.arange(2 * bw + 1)[:, None] + np.arange(self.n)
-
     @property
     def bandwidth(self) -> int:
         return self.band.shape[0] // 2
-
-    def interior(self, u: RadialFunction) -> np.ndarray:
-        """Interior node values of a full-grid function."""
-        return u.values[: self.n]
-
-    def embed(self, u: np.ndarray) -> RadialFunction:
-        full = np.zeros(self.grid.n_nodes)
-        full[: self.n] = u
-        return RadialFunction(self.grid, full)
 
     def dv_norm(self, r: np.ndarray) -> float:
         return math.sqrt(float(np.dot(self.mass_dv, r * r)))
@@ -234,12 +218,11 @@ def _J_value(u: np.ndarray, disc: _Discretization) -> float:
 
 def _convex_linearize(u: np.ndarray, disc: _Discretization) -> tuple:
     """Convex-mode residual P_k u + Q1 - Q2 e^{2u} (the dv_g-gradient of J,
-    through raw factor applications), the gradient against the discrete
-    dv_g weights, and the Hessian H - 2 diag(mass_dv Q2 e^{2u}) as
-    (1, that diagonal)."""
+    through raw factor applications) and the Hessian
+    H - 2 diag(mass_dv Q2 e^{2u}) as (c, v, w) = (1, that diagonal, None)."""
     e2u = np.exp(2.0 * u)
     res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u
-    return res, disc.mass_dv * res, (1.0, -2.0 * disc.mass_dv * disc.Q2 * e2u), None
+    return res, 1.0, -2.0 * disc.mass_dv * disc.Q2 * e2u, None
 
 
 def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray:
@@ -269,7 +252,7 @@ def _band_solve(
     d[d == 0] = 1.0
     inv = np.zeros(n + 2 * bw)
     inv[bw : bw + n] = 1.0 / d
-    lower *= inv[disc.row_scale_index]  # row i of entry (i, j)
+    lower *= np.lib.stride_tricks.sliding_window_view(inv, n)  # row i of entry (i, j)
     lower *= inv[bw : bw + n]  # column j
     rhs = b / d if w is None else np.array([b / d, w / d]).T
     _, _, x, info = dgbsv(bw, bw, ab, rhs, overwrite_ab=True, overwrite_b=True)
@@ -290,18 +273,17 @@ def _damped_newton(
     linearize: Callable[[np.ndarray], tuple],
     tol: float,
     max_iter: int,
-    convex: bool,
 ) -> SolveResult:
     """Damped Newton minimization with Armijo backtracking for both regimes.
 
     ``objective(u)`` is inf where u is infeasible or overflows, so the line
     search halves such trial steps away; u is linearized only where its
-    objective is finite.  ``linearize(u)`` returns the certificate residual
-    (its dv_g-norm is compared with ``tol``; a norm that overflows a double
-    raises ``DiscretizationError``), the gradient, the Hessian c H + diag(v)
-    as (c, v), H = omega M P_k, and an optional rank-one vector w
-    (Hessian = c H + diag(v) + w w^T).  A Levenberg shift lam diag(mass_dv)
-    is raised until the step descends.  Five iterations without a 10 % drop
+    objective is finite.  ``linearize(u)`` returns (res, c, v, w): the
+    certificate residual (its dv_g-norm is compared with ``tol``; a norm
+    that overflows a double raises ``DiscretizationError``) and the Hessian
+    c H + diag(v) + w w^T, H = omega M P_k, w None when it is convex; the
+    gradient is c mass_dv res.  A Levenberg shift lam diag(mass_dv) is
+    raised until the step descends.  Five iterations without a 10 % drop
     in the certificate end the solve as a stall at the numerical floor.
 
     At the roundoff floor the full step is taken: when the predicted
@@ -317,7 +299,7 @@ def _damped_newton(
     history, step_lengths, decrements = [J_u], [], []
     best, stalled, message = math.inf, 0, ""
     for it in range(1, max_iter + 2):
-        res, grad, (c, v), w = linearize(u)
+        res, c, v, w = linearize(u)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             res_norm = disc.dv_norm(res)
         if not math.isfinite(res_norm):
@@ -338,6 +320,7 @@ def _damped_newton(
         else:
             stalled = 0
         best = min(best, res_norm)
+        grad = c * disc.mass_dv * res
         diag = c * disc.band[disc.bandwidth] + v
         diag_max = float(np.max(np.abs(diag)))
         lam = 0.0
@@ -350,9 +333,9 @@ def _damped_newton(
             slope = float(step @ grad)
             if slope < 0:
                 break
-            if convex and lam == 0.0 and slope > 1e-10 * max(1.0, diag_max):
-                # the convex Hessian is positive semidefinite: an ascent
-                # direction beyond roundoff is a discretization defect
+            if w is None and lam == 0.0 and slope > 1e-10 * max(1.0, diag_max):
+                # a Hessian without a rank-one term is positive semidefinite:
+                # an ascent direction beyond roundoff is a discretization defect
                 raise DiscretizationError(
                     "negative curvature detected in the convex regime"
                 )
@@ -380,8 +363,10 @@ def _damped_newton(
         history.append(J_u)
         step_lengths.append(t)
         decrements.append(math.sqrt(-slope))
+    full = np.zeros(disc.grid.n_nodes)
+    full[: disc.n] = u
     return SolveResult(
-        u=disc.embed(u),
+        u=RadialFunction(disc.grid, full),
         objective=J_u,
         residual_norm=res_norm,
         iterations=min(it, max_iter),
@@ -404,7 +389,7 @@ def solve_convex(
     disc = _Discretization(problem)
     return _damped_newton(
         disc, np.zeros(disc.n), lambda u: _J_value(u, disc),
-        lambda u: _convex_linearize(u, disc), tol, max_iter, convex=True,
+        lambda u: _convex_linearize(u, disc), tol, max_iter,
     )
 
 
@@ -429,12 +414,13 @@ def _JQ_value(u: np.ndarray, disc: _Discretization) -> float:
 def _log_linearize(u: np.ndarray, disc: _Discretization) -> tuple:
     """``_convex_linearize`` for J_Q: the shifted-equation residual
     P_k u + Q1 - Q2 e^{2u} / G (G the log argument) vanishes where J_Q is
-    stationary, and J_Q's gradient is 2 mass_dv times it."""
+    stationary; J_Q's Hessian is (c, v, w) = (2, -4 q2e / G, 2 q2e / G),
+    q2e = mass_dv Q2 e^{2u}."""
     e2u = np.exp(2.0 * u)
     G = disc.dv_dot(disc.Q2, e2u - 1.0)
     q2e = disc.mass_dv * disc.Q2 * e2u
     res = disc.op.apply(u) + disc.Q1 - disc.Q2 * e2u / G
-    return res, 2.0 * disc.mass_dv * res, (2.0, -4.0 * q2e / G), 2.0 * q2e / G
+    return res, 2.0, -4.0 * q2e / G, 2.0 * q2e / G
 
 
 def _feasible_start(disc: _Discretization) -> np.ndarray:
@@ -463,9 +449,9 @@ def solve_log_constrained(
     disc = _Discretization(problem)
     result = _damped_newton(
         disc, _feasible_start(disc), lambda u: _JQ_value(u, disc),
-        lambda u: _log_linearize(u, disc), tol, max_iter, convex=False,
+        lambda u: _log_linearize(u, disc), tol, max_iter,
     )
-    u = disc.interior(result.u)
+    u = result.u.values[: disc.n]
     result.additive_constant = -0.5 * math.log(log_argument(u, disc))
     return result
 
@@ -481,7 +467,7 @@ def ray_coercivity_table(
     b0 = beta0(dims.k, dims.N)
     rows = []
     for t in t_values:
-        uv = t * disc.interior(direction)
+        uv = t * direction.values[: disc.n]
         energy = float(disc.op.quadratic_form(uv))
         J = (_JQ_value if problem.mode == LOG_CONSTRAINED else _J_value)(uv, disc)
         rows.append(

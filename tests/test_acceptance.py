@@ -195,7 +195,6 @@ def test_criterion_4_moser_fidelity():
     worst_cutoff = 0.0
     ratios = []
     for k in (1, 2):
-        dims = DimensionParams(k)
         devs = []
         for m in (100, 1000, 10000):
             prof = build_moser_profile(m, k, moser_hyperbolic_grid(m, k))
@@ -205,7 +204,7 @@ def test_criterion_4_moser_fidelity():
             )
             res = cutoff_condition_residuals(prof)
             worst_cutoff = max(worst_cutoff, float(np.max(np.abs(res))))
-            devs.append(abs((moser_energy(prof, dims) - 1.0) * prof.log_m))
+            devs.append(abs((moser_energy(prof) - 1.0) * prof.log_m))
         med = float(np.median(devs))
         ratios.append((k, max(devs) / med, min(devs) / med))
         assert max(devs) <= 3.0 * med, f"k={k}: {devs}"

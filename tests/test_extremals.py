@@ -103,27 +103,24 @@ class TestProfileConstruction:
 
 class TestMoserEnergy:
     def test_k1_energy_near_one(self):
-        dims = DimensionParams(1)
         prof = build_moser_profile(100, 1, moser_hyperbolic_grid(100, 1))
-        assert 0.5 <= moser_energy(prof, dims) <= 2.0
+        assert 0.5 <= moser_energy(prof) <= 2.0
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_deviation_times_logm_bounded(self, k):
-        dims = DimensionParams(k)
         devs = []
         for m in (100, 1000, 10000):
             prof = build_moser_profile(m, k, moser_hyperbolic_grid(m, k))
-            devs.append(abs((moser_energy(prof, dims) - 1.0) * prof.log_m))
+            devs.append(abs((moser_energy(prof) - 1.0) * prof.log_m))
         med = float(np.median(devs))
         assert max(devs) <= 3.0 * med
         assert min(devs) >= med / 3.0
 
     def test_energy_trend_toward_one(self):
-        dims = DimensionParams(2)
         gaps = []
         for m in (100, 10000, 1000000):
             prof = build_moser_profile(m, 2, moser_hyperbolic_grid(m, 2))
-            gaps.append(abs(moser_energy(prof, dims) - 1.0))
+            gaps.append(abs(moser_energy(prof) - 1.0))
         assert gaps[0] > gaps[1] > gaps[2]
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -133,7 +130,7 @@ class TestMoserEnergy:
         dims = DimensionParams(k)
         m = 1000
         prof = build_moser_profile(m, k, moser_hyperbolic_grid(m, k))
-        energy = moser_energy(prof, dims)
+        energy = moser_energy(prof)
         grid = moser_energy_grid(m)
         v = RadialFunction(grid, prof.v(grid.mesh.nodes) / math.sqrt(energy))
         renorm = euclidean_gradk_energy(v, dims)

@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from conftest import csr_of_band
 
 from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
+from hyperadams.config import load_config
 from hyperadams.errors import DiscretizationError, DomainError, FeasibilityError
 from hyperadams import pde
 from hyperadams.pde import (
@@ -25,6 +27,7 @@ from hyperadams.pde import (
     solve_convex,
     solve_log_constrained,
 )
+from hyperadams.experiments import _pde_problem
 from hyperadams.operators import gjms_assemble
 
 
@@ -249,8 +252,9 @@ class TestFunctionalAndDerivatives:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_log_gradient_matches_finite_differences(self, k, pde_grid, rng):
-        # the log-mode gradient 2 mass_dv res reuses the certificate residual;
-        # it must be the nodal gradient of J_Q
+        # the driver's gradient c mass_dv res, from the log linearization's
+        # certificate residual and Hessian coefficient, must be the nodal
+        # gradient of J_Q
         prob = make_problem(
             pde_grid, k, lambda r: 0.3 * np.exp(-(r**2)), lambda r: np.exp(-((r / 1.2) ** 2)),
             mode=LOG_CONSTRAINED,
@@ -261,7 +265,8 @@ class TestFunctionalAndDerivatives:
         for _ in range(20):
             u = rng.uniform(0.2, 1.0) * np.exp(-rng.uniform(0.5, 2.0) * nodes**2)
             w = rng.uniform(0.2, 1.0) * np.exp(-rng.uniform(0.5, 2.0) * nodes**2)
-            inner = float(pde._log_linearize(u, disc)[1] @ w)
+            res, c, _, _ = pde._log_linearize(u, disc)
+            inner = float((c * disc.mass_dv * res) @ w)
             eps = 1e-5
             fd = (
                 _JQ_value(u + eps * w, disc) - _JQ_value(u - eps * w, disc)
@@ -278,8 +283,10 @@ class TestFunctionalAndDerivatives:
         for _ in range(10):
             u = rng.uniform(-0.5, 0.5) * np.exp(-rng.uniform(0.5, 2) * nodes**2)
             w = rng.uniform(-1, 1) * np.exp(-rng.uniform(0.5, 2) * nodes**2)
-            # the Hessian action P_k w - 2 Q2 e^{2u} w from the Newton pair (c, diag)
-            c, diag = _convex_linearize(u, disc)[2]
+            # the Hessian action P_k w - 2 Q2 e^{2u} w from the linearization's
+            # (c, diag), with no rank-one term
+            _, c, diag, rank_one = _convex_linearize(u, disc)
+            assert rank_one is None
             Hw = c * disc.op.apply(w) + diag * w / disc.mass_dv
             quad = float(np.dot(disc.mass_dv, Hw * w))
             assert quad >= -1e-10 * max(1.0, abs(quad))
@@ -726,23 +733,47 @@ class TestLineSearch:
         disc = _Discretization(prob)
         res = _damped_newton(
             disc, np.zeros(disc.n), lambda u: 0.0 if not np.any(u) else math.inf,
-            lambda u: _convex_linearize(u, disc), 1e-9, 60, convex=True,
+            lambda u: _convex_linearize(u, disc), 1e-9, 60,
         )
         assert res.message == "line search failed" and not res.converged
         assert res.objective == 0.0 and res.step_lengths == ()
         assert res.residual_norm == disc.dv_norm(disc.Q1 - disc.Q2)  # at u = 0
 
-    def test_no_descent_ends_as_could_not_build_a_direction(self, pde_grid):
-        # a zero gradient beside a nonzero residual gives slope 0 under
-        # every Levenberg shift, which is no descent
+    def test_no_descent_ends_as_could_not_build_a_direction(self, pde_grid, monkeypatch):
+        # a step solve that returns the ascent direction gives a positive
+        # slope under every Levenberg shift, which is no descent; a rank-one
+        # term, even a zero one, marks the Hessian as not convex, so the
+        # negative-curvature check stays off
         prob = make_problem(
             pde_grid, 1, lambda r: np.exp(-(r**2)), lambda r: -np.exp(-(r**2))
         )
         disc = _Discretization(prob)
         zero = np.zeros(disc.n)
+        monkeypatch.setattr(pde, "_band_solve", lambda disc, c, diag, b, w: -b)
         res = _damped_newton(
             disc, zero, lambda u: _J_value(u, disc),
-            lambda u: (disc.Q1, zero, (1.0, zero), None), 1e-9, 60, convex=False,
+            lambda u: _convex_linearize(u, disc)[:3] + (zero,), 1e-9, 60,
         )
         assert res.message == "could not build a descent direction"
         assert not res.converged and res.step_lengths == ()
+
+
+class TestIterationCount:
+    @pytest.mark.parametrize(
+        "name, iterations, steps",
+        [("solve_pde_linear_k1", 2, 1), ("solve_pde_convex_k2", 4, 3), ("solve_pde_log_k1", 5, 4)],
+    )
+    def test_iterations_count_linearizations(self, name, iterations, steps):
+        # iterations counts linearizations, the last of which certifies the
+        # final iterate, capped at max_iter
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.cfg")
+        cfg = load_config(path)
+        problem = _pde_problem(cfg)
+        solve = solve_convex if problem.mode == CONVEX else solve_log_constrained
+        shipped = solve(problem, tol=cfg.params["tol"], max_iter=cfg.params["max_iter"])
+        assert shipped.converged
+        assert (shipped.iterations, len(shipped.step_lengths)) == (iterations, steps)
+        for max_iter in (0, 1):
+            res = solve(problem, tol=cfg.params["tol"], max_iter=max_iter)
+            assert res.iterations == min(len(res.step_lengths) + 1, max_iter)
+            assert len(res.step_lengths) <= max_iter
