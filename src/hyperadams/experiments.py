@@ -45,8 +45,8 @@ from .inequalities import (
 )
 from .mesh import graded_edges
 from .operators import SCHEME_ORDER, euclidean_gradk_energy, gjms_assemble
-from .pde import CONVEX, PDEProblem, solve_convex, solve_log_constrained
-from .reporting import ExperimentReport
+from .pde import CONVEX, PDEProblem, lapack_path, solve_convex, solve_log_constrained
+from .reporting import ExperimentReport, environment_stamp
 
 # CSV header of each report, as the README lists it: the seven runs, then
 # the three refinement studies
@@ -68,14 +68,19 @@ def _report(
     cfg: ExperimentConfig, rows, diagnostics=None, failure=None, name=None
 ) -> ExperimentReport:
     """The report named ``name`` (default: the config's experiment) of a run
-    of ``cfg``, with its config echo and its ``COLUMNS`` header."""
+    of ``cfg``, with its config echo and its ``COLUMNS`` header.  A solve-pde
+    report's environment names the LAPACK its Newton steps called."""
     name = name or cfg.experiment
+    environment = environment_stamp()
+    if cfg.experiment == "solve-pde":
+        environment["lapack"] = lapack_path()
     return ExperimentReport(
         experiment=name,
         config_echo=cfg.canonical(),
         columns=COLUMNS[name].split(", "),
         rows=rows,
         diagnostics=diagnostics or {},
+        environment=environment,
         failure=failure,
     )
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -233,6 +233,52 @@ def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray
     return solveh_banded(disc.band[: disc.bandwidth + 1], rhs_dv)
 
 
+@cache  # looked up once per process, on the first Newton step
+def _numpy_gbsv() -> Callable | None:
+    """LAPACK dgbsv from the 64-bit-integer OpenBLAS that numpy's wheel ships
+    and has already loaded, as ``gbsv(bw, ab, rhs) -> info``; it overwrites
+    the column-major (n, nrhs) ``rhs`` with the solution.  None where numpy
+    carries no such library (a numpy linked to a system LAPACK) or the
+    library lacks the Fortran symbol."""
+    import ctypes
+    import glob
+    import os
+
+    libs = glob.glob(
+        os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                     "libscipy_openblas64_*.so")
+    )
+    if not libs:
+        return None
+    try:
+        fortran_gbsv = ctypes.CDLL(libs[0]).scipy_dgbsv_64_
+    except (OSError, AttributeError):  # not loadable, or no such symbol
+        return None
+    fortran_gbsv.restype = None
+    fortran_gbsv.argtypes = [ctypes.c_void_p] * 10  # every argument by reference
+
+    def gbsv(bw: int, ab: np.ndarray, rhs: np.ndarray) -> int:
+        n = ab.shape[1]
+        a = np.asfortranarray(ab)
+        # N, KL, KU, NRHS, LDAB, LDB, INFO, then the n pivots
+        ints = np.empty(7 + n, dtype=np.int64)
+        ints[:7] = (n, bw, bw, rhs.size // n, ab.shape[0], n, 0)
+        p = ints.ctypes.data
+        fortran_gbsv(
+            p, p + 8, p + 16, p + 24, a.ctypes.data, p + 32, p + 56, rhs.ctypes.data,
+            p + 40, p + 48,
+        )
+        return int(ints[6])
+
+    return gbsv
+
+
+def lapack_path() -> str:
+    """The LAPACK that ``_band_solve`` calls: ``numpy-openblas64`` (numpy's
+    own OpenBLAS) or ``scipy`` (``scipy.linalg.lapack``, the fallback)."""
+    return "scipy" if _numpy_gbsv() is None else "numpy-openblas64"
+
+
 def _band_solve(
     disc: _Discretization, c: float, diag: np.ndarray, b: np.ndarray, w: np.ndarray | None
 ) -> np.ndarray:
@@ -240,8 +286,6 @@ def _band_solve(
     replaced by ``diag``, by one LU with partial pivoting (LAPACK gbsv) of
     the symmetrically scaled band of A (the scaling keeps the axis rows
     harmless) and Sherman-Morrison for the rank-one term."""
-    from scipy.linalg.lapack import dgbsv  # scipy.linalg loads on the first Newton step
-
     bw, n = disc.bandwidth, disc.n
     ab = np.empty((3 * bw + 1, n))  # the top bw rows take the LU fill-in
     ab[:bw] = 0.0
@@ -252,17 +296,24 @@ def _band_solve(
     d[d == 0] = 1.0
     inv = np.zeros(n + 2 * bw)
     inv[bw : bw + n] = 1.0 / d
-    lower *= np.lib.stride_tricks.sliding_window_view(inv, n)  # row i of entry (i, j)
+    lower *= np.ndarray((2 * bw + 1, n), buffer=inv, strides=(8, 8))  # row i of entry (i, j)
     lower *= inv[bw : bw + n]  # column j
-    rhs = b / d if w is None else np.array([b / d, w / d]).T
-    _, _, x, info = dgbsv(bw, bw, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    rhs = b / d if w is None else np.array([b / d, w / d])  # column-major (n, nrhs)
+    gbsv = _numpy_gbsv()
+    if gbsv is not None:
+        info = gbsv(bw, ab, rhs)
+    else:
+        from scipy.linalg.lapack import dgbsv
+
+        _, _, x, info = dgbsv(bw, bw, ab, rhs.T, overwrite_ab=True, overwrite_b=True)
+        rhs = x.T
     if info > 0:
         raise disc.failure("is singular")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
     if w is None:
-        return x / d
-    x, z = x.T / d
+        return rhs / d
+    x, z = rhs / d
     return x - z * (w @ x) / (1.0 + w @ z)
 
 

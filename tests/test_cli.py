@@ -11,6 +11,7 @@ import pytest
 from conftest import band_of_csr, csr_of_band, csv_body
 
 import hyperadams
+from hyperadams import pde
 from hyperadams.cli import _parser, main
 from hyperadams.config import (
     SCHEMAS,
@@ -891,38 +892,56 @@ class TestShippedConfigs:
         assert "order" not in err
 
 
-def test_scipy_loads_only_for_solve_pde(tmp_path):
-    # K is applied in band storage by numpy, so neither starting the CLI nor
-    # a run that does not solve the PDE loads any scipy module; a solve-pde
-    # run loads scipy.linalg for its LAPACK band solve and still no
-    # scipy.sparse
+@pytest.mark.skipif(
+    pde.lapack_path() != "numpy-openblas64",
+    reason="numpy ships no 64-bit-integer OpenBLAS dgbsv here, so solve-pde "
+    "falls back to scipy.linalg.lapack",
+)
+def test_no_run_loads_scipy(tmp_path):
+    # K is applied in band storage by numpy and each Newton step is solved by
+    # the OpenBLAS numpy already loaded, so neither starting the CLI nor any
+    # shipped run, nor a solve-pde refinement study, loads a scipy module
     src = os.path.dirname(os.path.dirname(hyperadams.__file__))
-    non_pde = [
-        "blowup_k1.cfg", "conformal_identity.cfg", "constants.cfg",
-        "inequalities.cfg", "isometry_2d.cfg", "sobolev_k1.cfg",
-    ]
-    assert sorted(non_pde + [c for c in SHIPPED_CONFIGS if c.startswith("solve_pde")]) == (
-        SHIPPED_CONFIGS
-    )
     code = f"""
 import os, sys
 import hyperadams.cli as cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print("@ import", scipy_modules())
-for name in {non_pde!r}:
+for name in {SHIPPED_CONFIGS!r}:
     out = os.path.join({str(tmp_path)!r}, name)
     assert cli.main(["run", os.path.join({CONFIG_DIR!r}, name), "--out", out]) == 0
     print("@", name, scipy_modules())
-cfg = os.path.join({CONFIG_DIR!r}, "solve_pde_linear_k1.cfg")
-assert cli.main(["run", cfg, "--out", os.path.join({str(tmp_path)!r}, "pde")]) == 0
-print("@ solve-pde", "scipy.linalg" in sys.modules, "scipy.sparse" in sys.modules)
+cfg = os.path.join({CONFIG_DIR!r}, "solve_pde_log_k1.cfg")
+assert cli.main(["converge", cfg, "--out", os.path.join({str(tmp_path)!r}, "study")]) == 0
+print("@ converge", scipy_modules())
 """
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     lines = [line for line in out.stdout.splitlines() if line.startswith("@ ")]
-    assert lines[0] == "@ import []"
-    assert lines[1:-1] == [f"@ {name} []" for name in non_pde]
-    assert lines[-1] == "@ solve-pde True False"
+    assert lines == (
+        ["@ import []"] + [f"@ {name} []" for name in SHIPPED_CONFIGS] + ["@ converge []"]
+    )
+    assert any(name.startswith("solve_pde") for name in SHIPPED_CONFIGS)
+
+
+@pytest.mark.parametrize("lapack", ["direct", "fallback"])
+def test_solve_pde_report_names_its_lapack(lapack, tmp_path, monkeypatch):
+    # the JSON environment says which LAPACK solved the Newton steps; other
+    # experiments' reports carry no such entry
+    if lapack == "fallback":
+        monkeypatch.setattr(pde, "_numpy_gbsv", lambda: None)
+    expected = pde.lapack_path()
+    assert expected in ("numpy-openblas64", "scipy")
+    assert lapack == "direct" or expected == "scipy"
+    for command, cfg, name in [
+        ("run", "solve_pde_log_k1.cfg", "solve-pde"),
+        ("converge", "solve_pde_linear_k1.cfg", "solve-pde-convergence"),
+        ("run", "constants.cfg", "constants"),
+    ]:
+        assert main([command, os.path.join(CONFIG_DIR, cfg), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / f"{name}.json") as fh:
+            environment = json.load(fh)["environment"]
+        assert environment.get("lapack") == (None if name == "constants" else expected)

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -418,6 +420,83 @@ class TestBandStepBitwise:
         with pytest.raises(DiscretizationError, match="singular at r_max = 12; lower r_max"):
             _band_solve(disc, 0.0, np.zeros(disc.n), b, None)
 
+    def test_singular_band_raises_on_the_fallback(self, pde_grid, monkeypatch):
+        # the scipy path reads a positive info as a zero pivot too
+        use_scipy_lapack(monkeypatch)
+        disc, _, _, b, _ = band_step_inputs(pde_grid, 1, CONVEX, 0.0)
+        with pytest.raises(DiscretizationError, match="singular at r_max = 12; lower r_max"):
+            _band_solve(disc, 0.0, np.zeros(disc.n), b, None)
+
+
+SHIPPED_PDE = ["solve_pde_linear_k1", "solve_pde_convex_k2", "solve_pde_log_k1"]
+
+needs_numpy_lapack = pytest.mark.skipif(
+    pde.lapack_path() != "numpy-openblas64",
+    reason="numpy ships no 64-bit-integer OpenBLAS dgbsv here; only the scipy path runs",
+)
+
+
+def use_scipy_lapack(monkeypatch):
+    """Send ``_band_solve`` down its scipy fallback, as on a numpy linked to
+    a system LAPACK."""
+    monkeypatch.setattr(pde, "_numpy_gbsv", lambda: None)
+    assert pde.lapack_path() == "scipy"
+
+
+def shipped_pde(name):
+    """The problem of configs/<name>.cfg, its solver and its parameters."""
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.cfg"))
+    problem = _pde_problem(cfg)
+    solve = solve_convex if problem.mode == CONVEX else solve_log_constrained
+    return problem, solve, cfg.params
+
+
+@needs_numpy_lapack
+class TestLapackFallback:
+    """numpy's own OpenBLAS dgbsv and scipy's give the same bits."""
+
+    @pytest.mark.parametrize("name", SHIPPED_PDE)
+    def test_fallback_steps_are_the_direct_steps(self, name, monkeypatch):
+        # every Newton step of a shipped solve: two convex problems (one
+        # right-hand side) and a log-mode one (the rank-one (n, 2) pair)
+        problem, solve, params = shipped_pde(name)
+        band_solve = pde._band_solve
+
+        def steps_and_result():
+            steps = []
+
+            def recording(*args):
+                steps.append(band_solve(*args))
+                return steps[-1]
+
+            monkeypatch.setattr(pde, "_band_solve", recording)
+            result = solve(problem, tol=params["tol"], max_iter=params["max_iter"])
+            return [step.tobytes() for step in steps], result
+
+        direct_steps, direct = steps_and_result()
+        use_scipy_lapack(monkeypatch)
+        fallback_steps, fallback = steps_and_result()
+        assert direct.converged and len(direct_steps) >= len(direct.step_lengths) > 0
+        assert fallback_steps == direct_steps
+        assert fallback.u.values.tobytes() == direct.u.values.tobytes()
+        assert (fallback.iterations, fallback.decrements) == (direct.iterations, direct.decrements)
+
+
+@needs_numpy_lapack
+def test_fallback_bits_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE is read once per process (by numpy's OpenBLAS and by
+    # scipy's alike), so the checks of the direct path against scipy's
+    # LAPACK run again in a child on OpenBLAS's Prescott kernels
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "TestLapackFallback or TestBandStepBitwise", "tests/test_pde.py"],
+        cwd=root, env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-2000:]
+    assert child.stdout.splitlines()[-1].startswith("17 passed")
+
 
 class TestBandStep:
     @pytest.mark.parametrize("k", [1, 2])
@@ -766,14 +845,11 @@ class TestIterationCount:
     def test_iterations_count_linearizations(self, name, iterations, steps):
         # iterations counts linearizations, the last of which certifies the
         # final iterate, capped at max_iter
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.cfg")
-        cfg = load_config(path)
-        problem = _pde_problem(cfg)
-        solve = solve_convex if problem.mode == CONVEX else solve_log_constrained
-        shipped = solve(problem, tol=cfg.params["tol"], max_iter=cfg.params["max_iter"])
+        problem, solve, params = shipped_pde(name)
+        shipped = solve(problem, tol=params["tol"], max_iter=params["max_iter"])
         assert shipped.converged
         assert (shipped.iterations, len(shipped.step_lengths)) == (iterations, steps)
         for max_iter in (0, 1):
-            res = solve(problem, tol=cfg.params["tol"], max_iter=max_iter)
+            res = solve(problem, tol=params["tol"], max_iter=max_iter)
             assert res.iterations == min(len(res.step_lengths) + 1, max_iter)
             assert len(res.step_lengths) <= max_iter
