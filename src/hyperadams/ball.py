@@ -57,19 +57,13 @@ class DimensionParams:
         object.__setattr__(self, "omega_Nm1", sphere_area(self.N - 1))
 
 
-def geodesic_to_euclidean(r, complement: bool = False):
-    """s = tanh(r/2); with ``complement`` also return 1 - s computed stably."""
+def geodesic_to_euclidean(r):
+    """s = tanh(r/2)."""
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise DomainError("geodesic radius must be nonnegative")
     s = np.tanh(r_arr / 2.0)
-    if not complement:
-        return float(s) if np.isscalar(r) else s
-    with np.errstate(over="ignore"):  # beyond r = 709.8, 1 - s is exactly 0
-        one_minus = 2.0 / (np.exp(r_arr) + 1.0)
-    if np.isscalar(r):
-        return float(s), float(one_minus)
-    return s, one_minus
+    return float(s) if np.isscalar(r) else s
 
 
 def euclidean_to_geodesic(s):
@@ -80,6 +74,24 @@ def euclidean_to_geodesic(s):
     # log1p(-s) keeps the relative accuracy at small s that a rounded 1 - s loses
     r = np.log1p(s_arr) - np.log1p(-s_arr)
     return float(r) if np.isscalar(s) else r
+
+
+def sinh_weight(N: int, scale: float, r_max: float):
+    """``scale`` sinh^{N-1} r as a function, for a geodesic grid on [0, r_max].
+    A weight that overflows would make every integral NaN and raises; it
+    grows with r, so its value at the grid's last node, r_max, decides that."""
+
+    def sinh_power(r):
+        with np.errstate(over="ignore"):  # reported below
+            w = scale * np.sinh(r) ** (N - 1)
+        if not np.all(np.isfinite(w)):
+            raise DiscretizationError(
+                "hyperbolic volume weight sinh^(N-1) r overflows below "
+                f"r_max = {r_max:g}; lower r_max"
+            )
+        return w
+
+    return sinh_power
 
 
 class RadialGrid:
@@ -103,11 +115,11 @@ class RadialGrid:
         self._laplacians: dict = {}
         if coordinate == GEODESIC:
             self._r = mesh.nodes
-            s, oms = geodesic_to_euclidean(mesh.nodes, complement=True)
-            s.flags.writeable = False
-            oms.flags.writeable = False
-            self._s = s
-            self.one_minus_s = oms  # stable complement 1 - s
+            self._s = geodesic_to_euclidean(mesh.nodes)
+            self._s.flags.writeable = False
+            with np.errstate(over="ignore"):  # beyond r = 709.8, 1 - s is exactly 0
+                self.one_minus_s = 2.0 / (np.exp(mesh.nodes) + 1.0)  # 1 - s, stably
+            self.one_minus_s.flags.writeable = False
         else:
             self._s = mesh.nodes
             self.one_minus_s = None
@@ -130,12 +142,11 @@ class RadialGrid:
         cls,
         r_max: float,
         h_first: float,
-        ratio: float = 1.5,
         degree: int = 6,
         h_cap: float | None = 1.0,
         forced_edges: Sequence[float] = (),
     ) -> "RadialGrid":
-        edges = geometric_edges(r_max, h_first, ratio, h_cap, forced_edges)
+        edges = geometric_edges(r_max, h_first, h_cap, forced_edges)
         return cls(Mesh1D(edges, degree), GEODESIC)
 
     @classmethod
@@ -153,12 +164,11 @@ class RadialGrid:
         cls,
         s_max: float,
         h_first: float,
-        ratio: float = 1.5,
         degree: int = 6,
         h_cap: float | None = 0.25,
         forced_edges: Sequence[float] = (),
     ) -> "RadialGrid":
-        edges = geometric_edges(s_max, h_first, ratio, h_cap, forced_edges)
+        edges = geometric_edges(s_max, h_first, h_cap, forced_edges)
         return cls(Mesh1D(edges, degree), EUCLIDEAN)
 
     # -- node data ----------------------------------------------------------
@@ -197,23 +207,11 @@ class RadialGrid:
 
     def _mass_weight(self, N: int, scale: float = 1.0):
         """``scale`` times the grid's radial volume weight in its own radius,
-        as a function: sinh^{N-1} r on a geodesic grid, s^{N-1} on a
-        Euclidean-radius grid.  A sinh weight that overflows, scale included,
-        would make every integral NaN and raises."""
+        as a function: sinh^{N-1} r on a geodesic grid (see ``sinh_weight``),
+        s^{N-1} on a Euclidean-radius grid."""
         if self.coordinate == EUCLIDEAN:
             return lambda s: scale * s ** (N - 1)
-
-        def sinh_power(r):
-            with np.errstate(over="ignore"):  # reported below
-                w = scale * np.sinh(r) ** (N - 1)
-            if not np.all(np.isfinite(w)):
-                raise DiscretizationError(
-                    "hyperbolic volume weight sinh^(N-1) r overflows below "
-                    f"r_max = {self.R_max:g}; lower r_max"
-                )
-            return w
-
-        return sinh_power
+        return sinh_weight(N, scale, self.R_max)
 
     def density(self, dims: DimensionParams) -> np.ndarray:
         """Per-node density with sum(quad_weights * density * f) = int f in the

@@ -43,7 +43,7 @@ from .inequalities import (
     poincare_margins,
     scalar_inequality_suite,
 )
-from .mesh import graded_edges
+from .mesh import Mesh1D, graded_edges
 from .operators import SCHEME_ORDER, euclidean_gradk_energy, gjms_assemble
 from .pde import CONVEX, PDEProblem, lapack_path, solve_convex, solve_log_constrained
 from .reporting import ExperimentReport, environment_stamp
@@ -97,17 +97,13 @@ def _grid(params: dict, n_elements: int | None = None) -> RadialGrid:
     """Geodesic grid from the config's grid keys; a grading whose edges
     r_max (j/n)^grading round to equal values is a configuration error."""
     n_elements = n_elements or params["n_elements"]
-    if not np.all(np.diff(graded_edges(params["r_max"], n_elements, params["grading"])) > 0):
+    edges = graded_edges(params["r_max"], n_elements, params["grading"])
+    if not np.all(np.diff(edges) > 0):
         raise ConfigError(
             f"grading = {params['grading']!r} makes graded grid edges coincide "
             f"at {n_elements} elements"
         )
-    return RadialGrid.geodesic(
-        r_max=params["r_max"],
-        n_elements=n_elements,
-        degree=params["poly_degree"],
-        grading=params["grading"],
-    )
+    return RadialGrid(Mesh1D(edges, params["poly_degree"]))
 
 
 def random_smooth_profiles(grid: RadialGrid, rng, n: int) -> RadialFunction:

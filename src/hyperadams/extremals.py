@@ -30,6 +30,7 @@ from .ball import (
     RadialFunction,
     RadialGrid,
     euclidean_to_geodesic,
+    sinh_weight,
 )
 from .errors import DiscretizationError, DomainError, ResolutionError
 from .inequalities import EXP_OVERFLOW_LIMIT, adams_functional, beta0, moser_normalizer
@@ -39,7 +40,6 @@ from .operators import euclidean_gradk_energy
 # the junction lands at the same relative position inside its element for
 # every m (self-similar kink error ~ 1/log m)
 _H_FIRST_FRACTION = 1.0 / 7.0
-_GRADING_RATIO = 1.5
 # elements across the concentration core; at degree 6 the core functional is
 # converged to ~1e-12 relative for k <= 3 and m <= 1e12
 _CORE_ELEMENTS = 4
@@ -138,11 +138,10 @@ class MoserProfile:
             out[tail] = _cutoff_eval(self.cutoff_spline, w[tail])
         return out
 
-    def u_tilde(self, s, one_minus_s=None) -> np.ndarray:
-        """The hyperbolic test profile u~(s) = v(2s) on the unit ball."""
-        s = np.asarray(s, dtype=float)
-        comp = None if one_minus_s is None else 2.0 * np.asarray(one_minus_s, float)
-        return self.v(2.0 * s, two_minus_rho=comp)
+    def u_tilde(self, grid: RadialGrid) -> np.ndarray:
+        """The hyperbolic test profile u~(s) = v(2s) at a geodesic grid's
+        nodes, near the truncation radius through the grid's stable 1 - s."""
+        return self.v(2.0 * grid.euclidean_nodes, two_minus_rho=2.0 * grid.one_minus_s)
 
 
 def _junction_radius(m: int) -> float:
@@ -160,7 +159,7 @@ def moser_energy_grid(m: int, degree: int = 6) -> RadialGrid:
     """
     h0 = _H_FIRST_FRACTION / math.sqrt(m)
     return RadialGrid.euclidean_geometric(
-        2.0, h0, ratio=_GRADING_RATIO, degree=degree, h_cap=0.2, forced_edges=(1.0,)
+        2.0, h0, degree=degree, h_cap=0.2, forced_edges=(1.0,)
     )
 
 
@@ -172,13 +171,16 @@ def moser_first_width(m: int) -> float:
 def moser_hyperbolic_grid(
     m: int, k: int, r_max: float | None = None, degree: int = 6
 ) -> RadialGrid:
-    """Geodesic grid resolving u~_m for hyperbolic-measure functionals."""
+    """Geodesic grid resolving u~_m for hyperbolic-measure functionals.  A
+    dv_g density that overflows at r_max raises before any edge is laid: the
+    r_max / h_cap edges of a huge r_max would take unbounded time and memory."""
     if r_max is None:
         r_max = 4.0 if k == 1 else 32.0
+    dims = DimensionParams(k)
+    sinh_weight(dims.N, dims.omega_Nm1, r_max)(r_max)
     outer = euclidean_to_geodesic(0.5)  # image of rho = 1
     return RadialGrid.geodesic_geometric(
-        r_max, moser_first_width(m), ratio=_GRADING_RATIO, degree=degree, h_cap=1.0,
-        forced_edges=(outer,),
+        r_max, moser_first_width(m), degree=degree, h_cap=1.0, forced_edges=(outer,)
     )
 
 
@@ -211,8 +213,7 @@ def build_moser_profile(m: int, k: int, grid: RadialGrid) -> MoserProfile:
             f"grid spacing near the origin does not resolve 1/sqrt(m) for m={m}"
         )
 
-    values = profile.u_tilde(grid.euclidean_nodes, one_minus_s=grid.one_minus_s)
-    profile.samples = RadialFunction(grid, values)
+    profile.samples = RadialFunction(grid, profile.u_tilde(grid))
     return profile
 
 
@@ -292,9 +293,7 @@ def blowup_experiment(
         profile, energy = _normalized_profile(m, k, degree, r_max)
         u_norm = profile.samples.scaled(1.0 / math.sqrt(energy))
         core = moser_core_grid(m, degree=degree)
-        core_u = profile.u_tilde(
-            core.euclidean_nodes, one_minus_s=core.one_minus_s
-        ) / math.sqrt(energy)
+        core_u = profile.u_tilde(core) / math.sqrt(energy)
         core_dv = core.quad_weights * core.density(dims)
         for beta in beta_list:
             value = adams_functional(u_norm, float(beta), dims)

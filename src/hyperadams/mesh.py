@@ -38,7 +38,6 @@ from .errors import DiscretizationError
 
 __all__ = [
     "gauss_lobatto",
-    "gauss_legendre",
     "barycentric_weights",
     "differentiation_matrix",
     "Mesh1D",
@@ -47,6 +46,9 @@ __all__ = [
     "graded_edges",
     "geometric_edges",
 ]
+
+
+GEOMETRIC_RATIO = 1.5  # width ratio of neighbouring ``geometric_edges`` elements
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -64,13 +66,6 @@ def gauss_lobatto(p: int) -> tuple[np.ndarray, np.ndarray]:
     interior = npleg.legroots(npleg.legder(coeff))
     x = np.concatenate(([-1.0], np.real(interior), [1.0]))
     w = 2.0 / (p * (p + 1) * npleg.legval(x, coeff) ** 2)
-    return _read_only(x), _read_only(w)
-
-
-@functools.cache
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights (n points on [-1, 1])."""
-    x, w = npleg.leggauss(n)
     return _read_only(x), _read_only(w)
 
 
@@ -141,7 +136,7 @@ def _reference_derivative(p: int) -> np.ndarray:
 def _axis_rule(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss nodes and weights on [-1, 1] for the axis-element integral, with
     the square of the degree-p axis cardinal function phi_0 at those nodes."""
-    xg, wg = gauss_legendre(4 * (p + 1))
+    xg, wg = map(_read_only, npleg.leggauss(4 * (p + 1)))
     card = np.zeros(p + 1)
     card[0] = 1.0
     phi0 = interpolate(gauss_lobatto(p)[0], card, xg)
@@ -161,11 +156,10 @@ def graded_edges(x_max: float, n_elements: int, grading: float = 1.0) -> np.ndar
 def geometric_edges(
     x_max: float,
     h_first: float,
-    ratio: float = 1.5,
     h_cap: float | None = None,
     forced: Sequence[float] = (),
 ) -> np.ndarray:
-    """Geometric element edges 0, h, h*ratio, ... capped at ``h_cap``.
+    """Geometric element edges 0, h, h*GEOMETRIC_RATIO, ... capped at ``h_cap``.
 
     ``forced`` points become exact edges; the running width continues across
     them.  Used by profile-resolving grids where a fixed grading phase
@@ -175,8 +169,6 @@ def geometric_edges(
         raise ValueError("x_max must be finite")
     if not (0 < h_first < x_max):
         raise ValueError("h_first must lie in (0, x_max)")
-    if ratio <= 1.0:
-        raise ValueError("ratio must exceed 1")
     targets = sorted(set(float(f) for f in forced if 0.0 < f < x_max)) + [float(x_max)]
     edges = [0.0]
     h = h_first
@@ -187,7 +179,7 @@ def geometric_edges(
             if tgt - nxt < 0.4 * h:
                 break
             edges.append(nxt)
-            h *= ratio
+            h *= GEOMETRIC_RATIO
             if h_cap is not None:
                 h = min(h, h_cap)
         edges.append(tgt)

@@ -65,16 +65,14 @@ class GJMSOperator:
             z = band_apply(self.stiffness, z) / self.mass + self.shifts[j] * z
         return z
 
-    def quadratic_form(self, u, w=None):
-        """int (P_k u) w dv_g, exactly symmetric in (u, w); one value per row
-        of a block."""
+    def quadratic_form(self, u):
+        """int (P_k u) u dv_g; one value per row of a block."""
         uv = _values(u)
-        wv = _values(w) if w is not None else uv
         k = len(self.shifts)
         a = (k - 1) // 2
         b = k - 1 - a
         y = self.apply(uv, range(a))
-        z = self.apply(wv, range(a + 1, a + 1 + b))
+        z = self.apply(uv, range(a + 1, a + 1 + b))
         return self.dims.omega_Nm1 * row_dots(y, self._weighted_factor(a, z))
 
     def energy_band(self) -> np.ndarray:
@@ -271,9 +269,7 @@ def sobolev_energy(u: RadialFunction, dims: DimensionParams) -> float:
     return sum(gradient_energies(u.values, u.grid, dims, dims.k).tolist())
 
 
-def gjms_energy(
-    u: RadialFunction, dims: DimensionParams, operator: GJMSOperator | None = None
-) -> EnergyReport:
+def gjms_energy(u: RadialFunction, dims: DimensionParams) -> EnergyReport:
     """Fill the GJMS, flat, and Sobolev energies of a radial profile.
 
     In the critical dimension the GJMS form equals the flat k-th order
@@ -283,10 +279,8 @@ def gjms_energy(
     grid of the same elements, edges tanh(r/2) and the same degree, where
     the profile is interpolated) so their agreement is a real check.
     """
-    if operator is None:
-        operator = gjms_assemble(dims, u.grid)
     notes: list = []
-    raw = operator.quadratic_form(u)
+    raw = gjms_assemble(dims, u.grid).quadratic_form(u)
     scale = sobolev_energy(u, dims)
     gjms = _clamped(raw, scale, "gjms quadratic form", notes)
     flat_grid = RadialGrid(Mesh1D(np.tanh(u.grid.mesh.edges / 2.0), u.grid.degree), EUCLIDEAN)

@@ -237,21 +237,14 @@ def banded_direct_solve(disc: _Discretization, rhs_dv: np.ndarray) -> np.ndarray
 def _numpy_gbsv() -> Callable | None:
     """LAPACK dgbsv from the 64-bit-integer OpenBLAS that numpy's wheel ships
     and has already loaded, as ``gbsv(bw, ab, rhs) -> info``; it overwrites
-    the column-major (n, nrhs) ``rhs`` with the solution.  None where numpy
-    carries no such library (a numpy linked to a system LAPACK) or the
-    library lacks the Fortran symbol."""
+    the column-major (n, nrhs) ``rhs`` with the solution.  The symbol is
+    looked up through numpy's linalg extension, whose handle also searches
+    the libraries it links, wherever the wheel keeps them.  None where numpy
+    links no such library (a numpy built on a system LAPACK)."""
     import ctypes
-    import glob
-    import os
 
-    libs = glob.glob(
-        os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                     "libscipy_openblas64_*.so")
-    )
-    if not libs:
-        return None
     try:
-        fortran_gbsv = ctypes.CDLL(libs[0]).scipy_dgbsv_64_
+        fortran_gbsv = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgbsv_64_
     except (OSError, AttributeError):  # not loadable, or no such symbol
         return None
     fortran_gbsv.restype = None
@@ -401,10 +394,7 @@ def _damped_newton(
             J_trial = objective(trial)
             if at_floor and t == 1.0 and math.isfinite(J_trial):
                 break
-            # near the minimizer the decrease (~ residual^2) falls below the
-            # roundoff of J; without the allowance the search would stall
-            # above the certificate's floor
-            if J_trial <= J_u + 1e-4 * t * slope + 1e-14 * max(1.0, abs(J_u)):
+            if J_trial <= J_u + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:

@@ -331,7 +331,7 @@ def test_criterion_6_best_constant_asymptotics():
 
 
 def test_criterion_7_scalar_inequalities():
-    suite = scalar_inequality_suite(n_grid=100_001)
+    suite = scalar_inequality_suite()
     assert suite["n_points"] >= 100_000
     assert suite["passed"], suite
     assert suite["equality_at_zero"]

@@ -11,7 +11,7 @@ import pytest
 from conftest import band_of_csr, csr_of_band, csv_body
 
 import hyperadams
-from hyperadams import pde
+from hyperadams import ball, pde
 from hyperadams.cli import _parser, main
 from hyperadams.config import (
     SCHEMAS,
@@ -521,6 +521,22 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "numerical failure: hyperbolic volume weight" in err and "r_max" in err
         assert not out.exists()
+
+    def test_blowup_r_max_overflow_is_decided_before_any_edge(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # capped at width 1, the edges up to r_max = 1e300 would never be laid
+        def lay_no_edges(*args, **kwargs):
+            raise AssertionError("geometric edges laid for an overflowing r_max")
+
+        monkeypatch.setattr(ball, "geometric_edges", lay_no_edges)
+        text = "experiment = blowup\nk = 1\nbeta_list = 13.8\nm_list = 1000\nr_max = 1e300\n"
+        cfg = write(tmp_path, "huge.cfg", text)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: hyperbolic volume weight sinh^(N-1) r overflows "
+            "below r_max = 1e+300; lower r_max\n"
+        )
 
     @pytest.mark.parametrize(
         "k, r_max",

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hyperadams import inequalities
 from hyperadams.ball import DimensionParams, RadialFunction, RadialGrid
 from hyperadams.errors import DomainError, NonFiniteSampleError
 from hyperadams.experiments import random_ball_profiles, random_smooth_profiles
@@ -309,9 +310,10 @@ class TestScalarSuite:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n_grid", [1, 8191, 100_001])
-    def test_chunks_give_the_full_array_dict(self, seed, n_grid):
-        # shorter than one chunk, not a multiple of it, and the default
-        assert scalar_inequality_suite(n_grid, seed) == full_array_suite(n_grid, seed)
+    def test_chunks_give_the_full_array_dict(self, seed, n_grid, monkeypatch):
+        # shorter than one chunk, not a multiple of it, and the suite's own grid
+        monkeypatch.setattr(inequalities, "_SUITE_GRID", n_grid)
+        assert scalar_inequality_suite(seed) == full_array_suite(n_grid, seed)
 
     def test_peak_memory_is_chunk_sized(self):
         scalar_inequality_suite()  # numpy's lazy set-up is not the suite's

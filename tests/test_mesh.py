@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.polynomial.legendre import leggauss
 from conftest import band_of_csr, csr_of_band
 
 from hyperadams.errors import DiscretizationError
@@ -15,7 +16,6 @@ from hyperadams.mesh import (
     _reference_derivative,
     band_apply,
     differentiation_matrix,
-    gauss_legendre,
     gauss_lobatto,
     geometric_edges,
     graded_edges,
@@ -45,7 +45,7 @@ def test_quadrature_polynomial_exactness(p):
 
 @pytest.mark.parametrize(
     "x",
-    [gauss_lobatto(6)[0], gauss_lobatto(8)[0], gauss_legendre(24)[0]],
+    [gauss_lobatto(6)[0], gauss_lobatto(8)[0], leggauss(24)[0]],
     ids=["gll6", "gll8", "gl24"],
 )
 def test_differentiation_exact_on_polynomials(x):
@@ -72,7 +72,7 @@ def test_lumped_mass_axis_correction_positive():
 
 
 def test_element_integrals_match_one_element_meshes():
-    edges = geometric_edges(3.0, 0.05, ratio=1.6, forced=(1.0,))
+    edges = geometric_edges(3.0, 0.05, forced=(1.0,))
     mesh = Mesh1D(edges, p=5)
 
     def fn(t):
@@ -109,7 +109,7 @@ def test_evaluate_interpolant():
 def test_graded_and_geometric_edges():
     e = graded_edges(10.0, 8, 2.0)
     assert e[0] == 0.0 and e[-1] == 10.0 and np.all(np.diff(e) > 0)
-    g = geometric_edges(2.0, 1e-3, ratio=1.5, h_cap=0.2, forced=(1.0,))
+    g = geometric_edges(2.0, 1e-3, h_cap=0.2, forced=(1.0,))
     assert g[0] == 0.0 and g[-1] == 2.0
     assert np.any(np.abs(g - 1.0) < 1e-14)
     assert np.all(np.diff(g) > 0)
@@ -120,7 +120,7 @@ def test_graded_and_geometric_edges():
 def test_geometric_edges_reject_non_finite_end(x_max):
     # capped at h_cap the widths stop growing and would never reach inf
     with pytest.raises(ValueError, match="x_max must be finite"):
-        geometric_edges(x_max, 0.1, ratio=1.5, h_cap=1.0)
+        geometric_edges(x_max, 0.1, h_cap=1.0)
 
 
 def test_refining_elements_converges_at_documented_order():
@@ -169,7 +169,7 @@ def reference_lumped_mass(mesh, weight):
         xi, _ = gauss_lobatto(mesh.p)
         a, b = mesh.edges[0], mesh.edges[1]
         jac = 0.5 * (b - a)
-        xg, wg = gauss_legendre(4 * (mesh.p + 1))
+        xg, wg = leggauss(4 * (mesh.p + 1))
         card = np.zeros(mesh.p + 1)
         card[0] = 1.0
         phi0 = interpolate(xi, card, xg)
@@ -191,7 +191,7 @@ def assert_same_csr(A, B):
 
 ASSEMBLY_EDGES = {
     "graded": graded_edges(5.0, 9, 2.0),
-    "geometric": geometric_edges(3.0, 0.01, ratio=1.5, h_cap=0.5, forced=(1.0,)),
+    "geometric": geometric_edges(3.0, 0.01, h_cap=0.5, forced=(1.0,)),
     "one-element": np.array([0.0, 2.0]),
 }
 

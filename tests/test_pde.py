@@ -804,6 +804,34 @@ class TestLineSearch:
         assert at_floor == (step == 2)
         assert res.step_lengths[step] < 1.0
 
+    def test_armijo_miss_below_roundoff_halves_above_floor(self, shipped_k2_problem):
+        # away from the floor a trial passes only by Armijo: one that misses
+        # it by less than 1e-14 max(1, |J|), J's roundoff, is still halved
+        disc = _Discretization(shipped_k2_problem(12))
+        zero = np.zeros(disc.n)
+        J0 = _J_value(zero, disc)
+        res, c, _, _ = _convex_linearize(zero, disc)
+        grad = c * disc.mass_dv * res
+        trials = []
+
+        def objective(u):
+            if not np.any(u):
+                return J0
+            trials.append(u)
+            if len(trials) > 1:
+                return _J_value(u, disc)
+            slope = float(u @ grad)  # the first trial is the full step
+            assert -slope > FULL_STEP_DECREASE * max(1.0, abs(J0))
+            armijo = J0 + 1e-4 * slope
+            missed = armijo + 0.5e-14 * max(1.0, abs(J0))
+            assert armijo < missed
+            return missed
+
+        result = _damped_newton(
+            disc, zero, objective, lambda u: _convex_linearize(u, disc), 1e-8, 1
+        )
+        assert result.step_lengths == (0.5,)
+
     def test_no_finite_trial_ends_as_line_search_failed(self, pde_grid):
         # an objective finite only at the start halves all 50 trial steps away
         prob = make_problem(
